@@ -31,6 +31,7 @@ from .separation import (
     EnumerationCapExceeded,
     MaxSeparation,
     Ordering,
+    best_response,
     circular_sepdim_is_one,
     count_separated,
     enumerate_payoffs,

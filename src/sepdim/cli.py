@@ -38,7 +38,6 @@ from .graphs import (
 from .separation import (
     CIRCULAR_ENUM_CAP,
     EnumerationCapExceeded,
-    LINEAR_ENUM_CAP,
     Ordering,
     count_separated,
     max_separation,
@@ -741,7 +740,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default="auto")
     p.add_argument("--threads", type=int, default=None,
                    help="enumeration workers (or SEPDIM_THREADS)")
-    p.add_argument("--linear-cap", type=int, default=LINEAR_ENUM_CAP)
+    p.add_argument("--linear-cap", type=int, default=None,
+                   help="linear vertex cap of the path that runs (default: 16 "
+                        "for the orbit subset DP, 10 for enumeration)")
     p.add_argument("--circular-cap", type=int, default=CIRCULAR_ENUM_CAP)
     p.add_argument("--pattern-cap", type=int, default=None,
                    help="pattern reduction vertex cap (default 14)")

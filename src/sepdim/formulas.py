@@ -164,8 +164,8 @@ def crosscheck(family: str, params, mode: str = "linear", *, cap=None) -> dict:
 
     PASS requires exact oracle/LP agreement plus bound consistency (the
     uniform-strategy guarantee below the game value, the all-pairs-uniform
-    pair strategy above it).  Instances over the enumeration caps come back
-    as partial reports.
+    pair strategy above it).  Instances over the solve path's vertex cap
+    come back as partial reports.
     """
     params = tuple(params)
     oracle = evaluate(family, params, mode)

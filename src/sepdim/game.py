@@ -19,9 +19,10 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .graphs import Graph, complete_multipartite, connected_components, induced_subgraph, nonincident_pairs
+from .graphs import Graph, complete_multipartite, nonincident_pairs
 from .separation import (
     EnumerationCapExceeded,
+    best_response,
     count_separated,
     enumerate_payoffs,
     pareto_filter,
@@ -230,6 +231,37 @@ def pattern_payoffs(g: Graph, mode: str, classes):
     return pareto_filter(found)
 
 
+def _column_generation(g: Graph, pairs, classes, sizes, labels, cap) -> GameSolution:
+    """Solve the linear game over all orderings by column generation.
+
+    The restricted master holds the orderings found so far, and
+    ``best_response`` prices its dual mix exactly over all n! orderings.
+    Seed columns cover every class first, since a class no row separates
+    leaves the packing LP unbounded.  The loop stops when no ordering scores
+    more than the master value against the master's dual mix: that is the
+    dual certificate over the full game, and the master's primal mix is one
+    over real orderings.
+    """
+    rows = []
+
+    def add_column(weights):
+        best = best_response(g, classes, weights, cap=cap)
+        counts = count_separated(best.ordering, pairs, classes)
+        rows.append((counts, best.ordering.serialize()))
+        return best.score
+
+    covered = [False] * len(classes)
+    while not all(covered):
+        add_column([0 if c else 1 for c in covered])
+        covered = [c or x > 0 for c, x in zip(covered, rows[-1][0])]
+    while True:
+        sol = solve_game(rows, sizes, labels, mode="linear", reduction="orbits")
+        dual = dict(sol.dual)
+        prices = [dual.get(lbl, 0) / size for lbl, size in zip(labels, sizes)]
+        if add_column(prices) <= sol.value:
+            return sol
+
+
 def fractional_sepdim(g: Graph, mode: str = "linear", reduction: str = "auto",
                       *, cap=None, pattern_cap=None, workers=1) -> GameSolution:
     """Exact fractional (circular) separation dimension with certificate.
@@ -238,22 +270,17 @@ def fractional_sepdim(g: Graph, mode: str = "linear", reduction: str = "auto",
     "orbits" aggregates pairs per automorphism orbit; "patterns" restricts a
     complete multipartite graph to part-label patterns with signature classes.
     "auto" picks patterns when parts are present, else orbits when the graph
-    has any symmetry, else none.  Disconnected graphs take the maximum over
-    components.
+    has any symmetry, else none.  Disconnected graphs are solved whole: pairs
+    across components are ordinary pairs.
+
+    Linear "orbits" solves by column generation with the subset-DP best
+    response, capped at ``LINEAR_DP_CAP`` vertices; the other reductions
+    enumerate payoff vectors under the enumeration caps.  ``cap`` overrides
+    the vertex cap of the DP or enumeration path that runs; ``workers``
+    splits enumeration only.
     """
     if reduction not in REDUCTIONS:
         raise GameError(f"reduction must be one of {REDUCTIONS}")
-    comps = connected_components(g)
-    if len(comps) > 1:
-        best = None
-        for comp in comps:
-            sub = induced_subgraph(g, comp)
-            sol = fractional_sepdim(sub, mode, reduction, cap=cap,
-                                    pattern_cap=pattern_cap, workers=workers)
-            if best is None or sol.pi_f > best.pi_f:
-                best = sol
-        return best
-
     pairs = nonincident_pairs(g)
     if not pairs:
         # Convention: no nonincident pairs means nothing to separate.
@@ -290,6 +317,8 @@ def fractional_sepdim(g: Graph, mode: str = "linear", reduction: str = "auto",
             for r, c in zip(orbits.representatives, orbits.classes)
         ]
         sizes = orbits.sizes
+        if mode == "linear":
+            return _column_generation(g, pairs, classes, sizes, labels, cap)
         rows = [
             (counts, o.serialize())
             for counts, o in enumerate_payoffs(g, mode, classes, cap=cap, workers=workers)

@@ -14,12 +14,14 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from math import lcm
 from multiprocessing import Pool
 
 from .graphs import EdgePair, Graph, nonincident_pairs
 
 LINEAR_ENUM_CAP = 10
 CIRCULAR_ENUM_CAP = 10
+LINEAR_DP_CAP = 16
 INTEGER_LINEAR_CAP = 7
 INTEGER_CIRCULAR_CAP = 8
 DEFAULT_BNB_BUDGET_S = 60.0
@@ -448,6 +450,86 @@ def _branch_and_bound(g, mode, pairs, classes, weights, budget_s):
     return MaxSeparation(
         state["best_score"], Ordering(mode, state["best_perm"]), not state["timed_out"]
     )
+
+
+def best_response(g: Graph, classes, weights, *, cap=None) -> MaxSeparation:
+    """Exact maximum of the weighted linear separation count, by a subset DP.
+
+    ``weights[k]`` scores every separated pair of class k, as in
+    ``max_separation``.  Pair (e, f) is separated with f first exactly when
+    the first endpoint v of e is placed while f lies inside the placed set S
+    and e's other endpoint does not, so the gain of placing v after S depends
+    only on (S, v) and a Held-Karp DP over the 2^n placed sets is exact.
+    Weights are scaled to integers by their common denominator.  The returned
+    score is re-checked against a recount of the witness ordering.
+    """
+    n = g.n
+    limit = LINEAR_DP_CAP if cap is None else cap
+    if n > limit:
+        raise EnumerationCapExceeded(
+            f"linear subset DP is capped at n <= {limit} (graph has n={n})"
+        )
+    pairs = nonincident_pairs(g)
+    weights = [Fraction(w) for w in weights]
+    if not pairs:
+        return MaxSeparation(Fraction(0), Ordering("linear", tuple(range(n))), True)
+    denom = lcm(*(w.denominator for w in weights))
+    scaled = [int(w * denom) for w in weights]
+
+    specs = _pair_specs(pairs, classes)
+    edge_id = {}
+    ends = []
+    for a, b, c, d, _ in specs:
+        for edge in ((a, b), (c, d)):
+            if edge not in edge_id:
+                edge_id[edge] = len(ends)
+                ends.append((1 << edge[0]) | (1 << edge[1]))
+    m = len(ends)
+    # pair_weight[e][f]: weight gained when f is fully placed before e starts.
+    pair_weight = [[0] * m for _ in range(m)]
+    for a, b, c, d, k in specs:
+        e, f = edge_id[(a, b)], edge_id[(c, d)]
+        pair_weight[e][f] = pair_weight[f][e] = scaled[k]
+    incident = [[e for e in range(m) if ends[e] >> v & 1] for v in range(n)]
+
+    full = (1 << n) - 1
+    floor = -sum(abs(scaled[k]) for *_, k in specs) - 1
+    best = [floor] * (full + 1)
+    best[0] = 0
+    last = bytearray(full + 1)
+    edge_range = range(m)
+    for placed in range(full):
+        base = best[placed]
+        inside = [f for f in edge_range if ends[f] & placed == ends[f]]
+        gain_of = {
+            e: sum(map(pair_weight[e].__getitem__, inside))
+            for e in edge_range if not ends[e] & placed
+        }
+        for v in range(n):
+            bit = 1 << v
+            if placed & bit:
+                continue
+            gain = base
+            for e in incident[v]:
+                if e in gain_of:
+                    gain += gain_of[e]
+            nxt = placed | bit
+            if gain > best[nxt]:
+                best[nxt] = gain
+                last[nxt] = v
+
+    perm = []
+    placed = full
+    while placed:
+        v = last[placed]
+        perm.append(v)
+        placed ^= 1 << v
+    ordering = Ordering("linear", tuple(reversed(perm)))
+    score = Fraction(best[full], denom)
+    counts = count_separated(ordering, pairs, classes)
+    if sum(w * c for w, c in zip(weights, counts)) != score:
+        raise AssertionError("subset DP score disagrees with a recount of its witness")
+    return MaxSeparation(score, ordering, True)
 
 
 # ---------------------------------------------------------------------------

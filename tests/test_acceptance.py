@@ -405,6 +405,26 @@ def test_criterion_16_lp_certification():
             assert sd.min_separation_probability(strat, g) <= sol.value
 
 
+def test_column_generation_petersen_over_full_rows():
+    # The column-generation solve sees only the columns it priced; re-check
+    # both of its certificate sides against every ordering's payoff vector.
+    _, orbits, rows, _ = petersen_bundle("linear")
+    sol = solved("petersen", "linear", "orbits")
+    assert sol.pi_f == Fraction(30, 17)
+    assert sol.class_sizes == orbits.sizes
+    weight_of = dict(sol.dual)
+    weights = [weight_of.get(lbl, Fraction(0)) / size
+               for lbl, size in zip(sol.class_labels, sol.class_sizes)]
+    best = max(sum(w * c for w, c in zip(weights, counts)) for counts, _ in rows)
+    assert best == sol.value
+    mixed = [Fraction(0)] * len(orbits.classes)
+    for key, weight in sol.primal:
+        counts = sd.count_separated(sd.Ordering.parse(key), orbits.pairs, orbits.classes)
+        for q, c in enumerate(counts):
+            mixed[q] += weight * Fraction(c, orbits.sizes[q])
+    assert min(mixed) == sol.value
+
+
 def test_criterion_17_oracle_equivalence():
     with criterion(17, "reduction none equals reduction orbits on 25 random graphs"):
         rng = random.Random(20260810)

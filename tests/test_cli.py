@@ -55,10 +55,30 @@ def test_solve_file_input(tmp_path, capsys):
 
 
 def test_solve_cap_refusal(capsys):
-    code, _, err = run_cli(capsys, "solve", "heawood")
+    code, _, err = run_cli(capsys, "solve", "heawood", "--mode", "circular")
     assert code == 1
     assert "capped" in err
     assert "--i-have-time" in err
+    # Linear Heawood is within the subset-DP cap and solved exactly.
+    code, out, _ = run_cli(capsys, "solve", "heawood", "--json")
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["pi_f"] == "28/17"
+    assert result["game_value"] == "17/28"
+    assert result["certificate"] == "exact"
+
+
+def test_solve_json_byte_stable_column_generation(capsys):
+    runs = []
+    for _ in range(2):
+        code, out, _ = run_cli(capsys, "solve", "petersen", "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert report["reduction"] == "orbits"
+        assert report["result"]["pi_f"] == "30/17"
+        report.pop("timing_s")
+        runs.append(json.dumps(report, sort_keys=True))
+    assert runs[0] == runs[1]
 
 
 def test_solve_bad_family(capsys):
@@ -170,8 +190,8 @@ def test_tree_root_out_of_range(capsys):
 
 
 def test_long_run_search_flagged(capsys):
-    code, out, _ = run_cli(capsys, "solve", "heawood", "--i-have-time",
-                           "--budget", "1.0", "--json")
+    code, out, _ = run_cli(capsys, "solve", "heawood", "--mode", "circular",
+                           "--i-have-time", "--budget", "1.0", "--json")
     assert code == 0
     result = json.loads(out)["result"]
     assert result["search"] == "branch-and-bound"

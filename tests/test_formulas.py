@@ -111,8 +111,12 @@ def test_crosscheck_pass_rows():
 
 def test_crosscheck_partial_on_capped_instance():
     row = crosscheck("heawood", (), "linear")
+    assert row["status"] == "PASS"
+    assert row["oracle"] == row["lp"] == "28/17"
+    row = crosscheck("petersen", (), "linear", cap=8)
     assert row["status"] == "PARTIAL"
-    assert row["oracle"] == "28/17"
+    assert row["oracle"] == "30/17"
+    assert "capped" in row["detail"]
 
 
 def test_crosscheck_lp_only_for_unknown():

@@ -82,6 +82,27 @@ def test_disconnected_maximum_over_components():
     assert sd.fractional_sepdim(g, "linear", "none").pi_f == 1
 
 
+def test_disconnected_cross_component_pairs():
+    # Every pair spans two components: one ordering placing one component
+    # before the other separates them all.
+    two_k2 = sd.graph_from_edges(4, [(0, 1), (2, 3)])
+    triangle_edge = sd.graph_from_edges(5, [(0, 1), (1, 2), (0, 2), (3, 4)])
+    for g in (two_k2, triangle_edge):
+        for reduction in ("auto", "none", "orbits"):
+            sol = sd.fractional_sepdim(g, "linear", reduction)
+            assert sol.pi_f == 1 and sol.value == 1
+
+
+def test_disconnected_certificate_over_whole_graph():
+    c4 = [(0, 1), (1, 2), (2, 3), (0, 3)]
+    g = sd.graph_from_edges(8, c4 + [(u + 4, v + 4) for u, v in c4])
+    sol = sd.fractional_sepdim(g, "linear", "auto")
+    assert sol.pi_f == 2
+    for key, _ in sol.primal:
+        assert sorted(sd.Ordering.parse(key).perm) == list(range(8))
+    assert sum(sol.class_sizes) == len(sd.nonincident_pairs(g)) == 20
+
+
 def test_reduction_auto_dispatch():
     sol = sd.fractional_sepdim(sd.complete_multipartite(3, 3), "linear", "auto")
     assert sol.reduction == "patterns"

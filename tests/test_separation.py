@@ -1,10 +1,13 @@
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
 import sepdim as sd
 from sepdim.separation import EnumerationCapExceeded, Ordering
+
+from conftest import random_graph
 
 
 def test_linear_separation_definition_cases():
@@ -144,6 +147,41 @@ def test_branch_and_bound_matches_enumeration():
             bnb = sd.max_separation(g, mode, method="bnb", budget_s=30)
             assert bnb.exact
             assert bnb.score == enum.score
+
+
+def test_best_response_matches_enumeration():
+    # The subset DP against exhaustive enumeration, on pair orbits and on
+    # singleton classes, with integer, fractional and zero weights.
+    rng = random.Random(90125)
+    checked = 0
+    while checked < 36:
+        g = random_graph(rng.randrange(4, 8), rng.choice((0.4, 0.5, 0.6)), rng)
+        pairs = sd.nonincident_pairs(g)
+        if not pairs:
+            continue
+        if checked % 2:
+            classes = sd.pair_orbits(g, sd.automorphisms(g)).classes
+        else:
+            classes = [[i] for i in range(len(pairs))]
+        if checked % 3 == 0:
+            weights = [rng.randrange(0, 4) for _ in classes]
+        else:
+            weights = [Fraction(rng.randrange(0, 6), rng.randrange(1, 8))
+                       for _ in classes]
+        weights[rng.randrange(len(weights))] = 0
+        dp = sd.best_response(g, classes, weights)
+        enum = sd.max_separation(g, "linear", classes, weights, method="enumerate")
+        assert dp.score == enum.score, (checked, g.edges, weights)
+        counts = sd.count_separated(dp.ordering, pairs, classes)
+        assert sum(Fraction(w) * c for w, c in zip(weights, counts)) == dp.score
+        checked += 1
+
+
+def test_best_response_cap():
+    for g, cap, limit in ((sd.cycle(17), None, 16), (sd.heawood(), 12, 12)):
+        one_class = [list(range(len(sd.nonincident_pairs(g))))]
+        with pytest.raises(EnumerationCapExceeded, match=f"n <= {limit}"):
+            sd.best_response(g, one_class, [1], cap=cap)
 
 
 def test_enumeration_cap():
