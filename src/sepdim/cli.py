@@ -739,7 +739,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reduction", choices=("auto", "none", "orbits", "patterns"),
                    default="auto")
     p.add_argument("--threads", type=int, default=None,
-                   help="enumeration workers (or SEPDIM_THREADS)")
+                   help="linear enumeration workers (or SEPDIM_THREADS); "
+                        "circular enumeration runs in one process")
     p.add_argument("--linear-cap", type=int, default=None,
                    help="linear vertex cap of the path that runs (default: 16 "
                         "for the orbit subset DP, 10 for enumeration)")

@@ -277,7 +277,7 @@ def fractional_sepdim(g: Graph, mode: str = "linear", reduction: str = "auto",
     response, capped at ``LINEAR_DP_CAP`` vertices; the other reductions
     enumerate payoff vectors under the enumeration caps.  ``cap`` overrides
     the vertex cap of the DP or enumeration path that runs; ``workers``
-    splits enumeration only.
+    splits linear enumeration only.
     """
     if reduction not in REDUCTIONS:
         raise GameError(f"reduction must be one of {REDUCTIONS}")
@@ -286,6 +286,7 @@ def fractional_sepdim(g: Graph, mode: str = "linear", reduction: str = "auto",
         # Convention: no nonincident pairs means nothing to separate.
         return GameSolution(Fraction(0), None, mode=mode, reduction=reduction)
 
+    aut = None
     if reduction == "auto":
         if g.parts is not None:
             reduction = "patterns"
@@ -309,7 +310,8 @@ def fractional_sepdim(g: Graph, mode: str = "linear", reduction: str = "auto",
         ]
         sizes = [len(c) for c in classes]
     elif reduction == "orbits":
-        aut = automorphisms(g)
+        if aut is None:
+            aut = automorphisms(g)
         orbits = pair_orbits(g, aut)
         classes = orbits.classes
         labels = [

@@ -2,10 +2,12 @@
 
 Linear separation: both endpoints of one edge precede both endpoints of the
 other.  Circular separation: the four endpoints do not alternate around the
-circle.  Enumeration works in "position space": iterating over all maps
-vertex -> position visits every ordering, and lets the inner loop index
+circle.  Linear enumeration works in "position space": iterating over all
+maps vertex -> position visits every ordering, and lets the inner loop index
 positions directly.  Reversal duplicates are skipped; every separation verdict
-is reversal-invariant, so payoff sets and maxima are unchanged.
+is reversal-invariant, so payoff sets and maxima are unchanged.  Circular
+enumeration collects alternation bitmasks, which are XORs over the ordered
+vertex pairs and split at a prefix (``_CircularSplit``).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import lcm
 from multiprocessing import Pool
 
@@ -225,40 +227,170 @@ def _linear_scan(n, specs, nclasses, prefixes):
     return found
 
 
-def _circular_scan(n, specs, nclasses, prefixes):
-    """Collect distinct payoff vectors over canonical circular orderings
-    (first vertex 0, second entry smaller than last)."""
-    found = {}
-    pos = [0] * n
-    rest = list(range(1, n))
-    heads = [(a,) for a in rest] if prefixes is None else prefixes
-    for head in heads:
-        remaining = [v for v in rest if v not in head]
-        for tail in permutations(remaining):
-            perm = (0,) + head + tail
-            if perm[1] > perm[-1]:
-                continue
-            for i, v in enumerate(perm):
-                pos[v] = i
-            counts = [0] * nclasses
-            for a, b, c, d, k in specs:
-                pa = pos[a]; pb = pos[b]
-                if pa > pb:
-                    pa, pb = pb, pa
-                if (pa < pos[c] < pb) == (pa < pos[d] < pb):
-                    counts[k] += 1
-            key = tuple(counts)
-            if key not in found:
-                found[key] = perm
-    return found
-
-
 def _linear_worker(args):
     return _linear_scan(*args)
 
 
-def _circular_worker(args):
-    return _circular_scan(*args)
+def _within(seq, cross):
+    """XOR of cross[x][y] over every x placed before y in ``seq``."""
+    mask = 0
+    for j in range(1, len(seq)):
+        y = seq[j]
+        for x in seq[:j]:
+            mask ^= cross[x][y]
+    return mask
+
+
+class _CircularSplit:
+    """Alternation masks of every circular ordering, by a prefix split.
+
+    Fix vertex 0 first and read positions linearly.  Chords ab and cd
+    alternate iff [a<c] ^ [a<d] ^ [b<c] ^ [b<d], where [x<y] means x comes
+    before y, so an ordering's alternation mask (bit i set when pair i
+    alternates) is the XOR of ``cross[x][y]`` over every x placed before y;
+    ``cross[x][y]`` holds the pairs with x in the first edge and y in the
+    second.  Write the ordering as 0.P.Q, where P arranges a set S of
+    k = (n-1)//2 vertices and Q arranges the rest R.  Then the mask is
+    W(0.P) ^ W(Q) ^ X(S): the within-sequence XORs, plus the XOR of
+    ``cross[x][y]`` over x in {0} + S and y in R.  Reversal keeps
+    alternation, so the masks of all 0.P.Q are exactly those of the
+    canonical orderings.
+    """
+
+    def __init__(self, n, pairs):
+        cross = [[0] * n for _ in range(n)]
+        for i, ((a, b), (c, d)) in enumerate(pairs):
+            for x in (a, b):
+                for y in (c, d):
+                    cross[x][y] |= 1 << i
+        self.n = n
+        self.k = (n - 1) // 2
+        self.head = {}    # P -> W(0.P) ^ X(S)
+        self.tails = {}   # S as a vertex bitmask -> ([(Q, W(Q))] in lex order, distinct W(Q))
+        self.groups = []  # per S: (distinct heads, distinct W(Q))
+        rest = range(1, n)
+        for s in combinations(rest, self.k):
+            r = [v for v in rest if v not in s]
+            cut = 0
+            for x in (0,) + s:
+                for y in r:
+                    cut ^= cross[x][y]
+            heads = set()
+            for p in permutations(s):
+                self.head[p] = m = _within((0,) + p, cross) ^ cut
+                heads.add(m)
+            tails = [(q, _within(q, cross)) for q in permutations(r)]
+            distinct = tuple({m for _, m in tails})
+            self.tails[sum(1 << v for v in s)] = (tails, distinct)
+            self.groups.append((heads, distinct))
+
+    def masks(self):
+        """Every distinct alternation mask: h ^ t over each S's distinct
+        prefix and suffix masks."""
+        out = set()
+        for heads, tails in self.groups:
+            out |= {h ^ t for h in heads for t in tails}
+        return out
+
+    def witnesses(self, masks_of):
+        """The lexicographically least canonical ordering (0 first, second
+        entry smaller than last) per key of ``masks_of``, which maps each
+        key to the alternation masks it stands for.
+
+        One pass over (P, Q) in lex order; a prefix whose masks miss every
+        unwitnessed target is skipped, and the pass ends once every key has
+        its witness.
+        """
+        target = {m: key for key, ms in masks_of.items() for m in ms}
+        found = {}
+        for p in permutations(range(1, self.n), self.k):
+            head = self.head[p]
+            tails, distinct = self.tails[sum(1 << v for v in p)]
+            if target.keys().isdisjoint([head ^ m for m in distinct]):
+                continue
+            first = p[0]
+            for q, m in tails:
+                key = target.get(head ^ m)
+                if key is not None and first < q[-1]:
+                    found[key] = (0,) + p + q
+                    for x in masks_of[key]:
+                        del target[x]
+                    if not target:
+                        return found
+        return found
+
+
+def _circular_payoffs(n, pairs, classes, pareto):
+    """Payoff rows over circular orderings from the split's masks.
+
+    Each distinct mask maps to a key: its per-class alternation counts,
+    packed into one int with a field of ``w`` bytes per class and a spare
+    top bit, by a popcount per class or, when classes outnumber the mask's
+    bytes, by 8-bit lookup tables.  With ``pareto`` the rows are those
+    ``pareto_filter`` keeps, in its order, found on the keys; without it,
+    every distinct vector in sorted order.  Only the rows get witnesses.
+    """
+    split = _CircularSplit(n, pairs)
+    masks = list(split.masks())
+    sizes = [len(c) for c in classes]
+    w = (max(sizes).bit_length() + 8) // 8
+    nbytes = (len(pairs) + 7) // 8
+    if len(classes) <= nbytes:
+        keys = [0] * len(masks)
+        for k, c in enumerate(classes):
+            bits = sum(1 << i for i in c)
+            shift = 8 * w * k
+            keys = [x + ((m & bits).bit_count() << shift) for x, m in zip(keys, masks)]
+    else:
+        unit = [0] * len(pairs)
+        for k, c in enumerate(classes):
+            for i in c:
+                unit[i] = 1 << (8 * w * k)
+        tables = []
+        for j in range(nbytes):
+            table = [0] * 256
+            for b in range(1, 256):
+                i = 8 * j + (b & -b).bit_length() - 1
+                table[b] = table[b & (b - 1)] + (unit[i] if i < len(pairs) else 0)
+            tables.append(table)
+        at = list.__getitem__
+        keys = [sum(map(at, tables, m.to_bytes(nbytes, "little"))) for m in masks]
+
+    def fields(key):
+        raw = key.to_bytes(w * len(sizes), "little")
+        if w == 1:
+            return tuple(raw)
+        return tuple(int.from_bytes(raw[i:i + w], "little")
+                     for i in range(0, len(raw), w))
+
+    distinct = set(keys)
+    if pareto:
+        # Drop keys that another key beats or ties in every class, before
+        # any count vector is built.  A key b beats a iff a - b has no
+        # borrow in any field, which the spare top bits show at once; in
+        # order of total alternations every such b comes before a.
+        guard = sum(1 << (8 * w * (k + 1) - 1) for k in range(len(sizes)))
+        front = []
+        for a in sorted(distinct, key=lambda key: sum(fields(key))):
+            if all((a | guard) - b & guard != guard for b in front):
+                front.append(a)
+        distinct = front
+    found = {
+        tuple(size - c for size, c in zip(sizes, fields(key))): key
+        for key in distinct
+    }
+    rows = sorted(found.items(), key=_pareto_order if pareto else None)
+    wanted = {key: [] for _, key in rows}
+    for m, key in zip(masks, keys):
+        if key in wanted:
+            wanted[key].append(m)
+    perms = split.witnesses(wanted)
+    return [(counts, Ordering("circular", perms[key])) for counts, key in rows]
+
+
+def _pareto_order(row):
+    """Row order of ``pareto_filter``: larger totals first, then by counts."""
+    return (-sum(row[0]), row[0])
 
 
 def pareto_filter(rows):
@@ -267,7 +399,7 @@ def pareto_filter(rows):
     ``rows`` maps counts -> witness; dominated rows never help the maximizing
     ordering player, so removing them keeps the game value.
     """
-    items = sorted(rows.items(), key=lambda kv: (-sum(kv[0]), kv[0]))
+    items = sorted(rows.items(), key=_pareto_order)
     kept = []
     for counts, witness in items:
         if any(all(kc >= c for kc, c in zip(k, counts)) for k, _ in kept):
@@ -298,9 +430,12 @@ def enumerate_payoffs(g: Graph, mode: str, classes=None, *, pareto=True,
     """Distinct payoff vectors achieved by any ordering of the given mode.
 
     Returns a list of (counts, witness Ordering), deduplicated and (by
-    default) Pareto-filtered, deterministically ordered.  Parallel workers
-    split the stream by a two-entry prefix; merging keeps the least witness
-    per vector, so output is identical for any worker count.
+    default) Pareto-filtered, deterministically ordered; each witness is the
+    least ordering with its vector.  ``workers`` applies to linear mode
+    only: parallel workers split the linear stream by a two-entry prefix,
+    and merging keeps the least witness per vector, so output is identical
+    for any worker count.  Circular mode runs the XOR-split kernel
+    (``_CircularSplit``) in one process.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -314,30 +449,23 @@ def enumerate_payoffs(g: Graph, mode: str, classes=None, *, pareto=True,
         return [((0,) * nclasses, trivial)]
     specs = _pair_specs(pairs, classes)
     n = g.n
+    if mode == "circular":
+        return _circular_payoffs(n, pairs, classes, pareto)
     if workers > 1 and n >= 4:
-        if mode == "linear":
-            prefixes = sorted(permutations(range(n), 2))
-        else:
-            prefixes = sorted(
-                (a, b) for a in range(1, n) for b in range(1, n) if a != b
-            )
+        prefixes = sorted(permutations(range(n), 2))
         chunks = [prefixes[i::workers] for i in range(workers)]
-        scan = _linear_worker if mode == "linear" else _circular_worker
         with Pool(workers) as pool:
-            results = pool.map(scan, [(n, specs, nclasses, c) for c in chunks])
+            results = pool.map(_linear_worker,
+                               [(n, specs, nclasses, c) for c in chunks])
         found = {}
         for part in results:
             for key, witness in part.items():
                 if key not in found or witness < found[key]:
                     found[key] = witness
-    elif mode == "linear":
-        found = _linear_scan(n, specs, nclasses, None)
     else:
-        found = _circular_scan(n, specs, nclasses, None)
+        found = _linear_scan(n, specs, nclasses, None)
     rows = pareto_filter(found) if pareto else sorted(found.items())
-    if mode == "linear":
-        return [(counts, _pos_to_ordering(q)) for counts, q in rows]
-    return [(counts, Ordering("circular", q)) for counts, q in rows]
+    return [(counts, _pos_to_ordering(q)) for counts, q in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -561,43 +689,31 @@ def verify_separating_family(g: Graph, orderings, t: int = 1):
 
 
 def circular_sepdim_is_one(g: Graph, cap=None):
-    """Whether one circular ordering separates every pair (outerplanarity).
+    """Whether one circular ordering separates every pair (outerplanarity):
+    whether 0 is among the alternation masks.
 
-    Returns (bool, witness Ordering or None).
+    Returns (bool, witness Ordering or None); the witness is the least
+    canonical ordering that separates every pair.
     """
     pairs = nonincident_pairs(g)
     if not pairs:
         return True, Ordering("circular", tuple(range(g.n)))
     _check_cap("circular", g.n, cap)
-    specs = _pair_specs(pairs, _singleton_classes(len(pairs)))
-    n = g.n
-    pos = [0] * n
-    for tail in permutations(range(1, n)):
-        if tail[0] > tail[-1]:
-            continue
-        perm = (0,) + tail
-        for i, v in enumerate(perm):
-            pos[v] = i
-        ok = True
-        for a, b, c, d, _ in specs:
-            pa = pos[a]; pb = pos[b]
-            if pa > pb:
-                pa, pb = pb, pa
-            if (pa < pos[c] < pb) != (pa < pos[d] < pb):
-                ok = False
-                break
-        if ok:
-            return True, Ordering("circular", perm)
-    return False, None
+    split = _CircularSplit(g.n, pairs)
+    if 0 not in split.masks():
+        return False, None
+    return True, Ordering("circular", split.witnesses({0: [0]})[0])
 
 
 def _separation_masks(g: Graph, mode: str, cap):
     """Distinct separation sets over all orderings, as pair-index bitmasks."""
     _check_cap(mode, g.n, cap)
     pairs = nonincident_pairs(g)
+    if mode == "circular":
+        full = (1 << len(pairs)) - 1
+        return pairs, {full ^ m for m in _CircularSplit(g.n, pairs).masks()}
     specs = _pair_specs(pairs, _singleton_classes(len(pairs)))
-    scan = _linear_scan if mode == "linear" else _circular_scan
-    found = scan(g.n, specs, len(pairs), None)
+    found = _linear_scan(g.n, specs, len(pairs), None)
     masks = {sum(1 << i for i, c in enumerate(counts) if c) for counts in found}
     return pairs, masks
 

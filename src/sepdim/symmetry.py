@@ -108,20 +108,38 @@ def _compose(a, b):
     return tuple(a[x] for x in b)
 
 
-def closure(generators, n):
-    """Group generated by ``generators``: BFS over right products."""
-    identity = tuple(range(n))
-    seen = {identity}
-    frontier = [identity]
+def _extend(group, generators, new):
+    """Group generated by ``generators`` plus ``new``, where ``group`` is the
+    (closed) group generated by ``generators``: BFS over right products.
+
+    Products of ``group`` with the old generators stay inside it, so only
+    its products with ``new`` seed the search.
+    """
+    gens = [*generators, new]
+    seen = set(group)
+    frontier = []
+    for p in group:
+        q = _compose(new, p)
+        if q not in seen:
+            seen.add(q)
+            frontier.append(q)
     while frontier:
         nxt = []
         for p in frontier:
-            for gen in generators:
+            for gen in gens:
                 q = _compose(gen, p)
                 if q not in seen:
                     seen.add(q)
                     nxt.append(q)
         frontier = nxt
+    return seen
+
+
+def closure(generators, n):
+    """Group generated by ``generators``, one generator at a time."""
+    seen = {tuple(range(n))}
+    for i, gen in enumerate(generators):
+        seen = _extend(seen, generators[:i], gen)
     return seen
 
 
@@ -138,8 +156,8 @@ def automorphisms(g: Graph, *, n_cap=AUTOMORPHISM_N_CAP,
     known = {identity}
     for e in elements:
         if e not in known:
+            known = _extend(known, generators, e)
             generators.append(e)
-            known = closure(generators, g.n)
     return AutomorphismGroup(generators, len(elements), tuple(elements))
 
 

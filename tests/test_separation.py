@@ -189,6 +189,115 @@ def test_enumeration_cap():
         sd.enumerate_payoffs(sd.heawood(), "linear")
 
 
+def _brute_circular_scan(g):
+    # Every canonical circular ordering (0 first, second entry below the
+    # last) in lex order, with its separated pairs by the raw alternation
+    # test.
+    pairs = sd.nonincident_pairs(g)
+    out = []
+    for tail in permutations(range(1, g.n)):
+        if tail[0] < tail[-1]:
+            perm = (0,) + tail
+            out.append((perm, [_raw_circular_separated(perm, p) for p in pairs]))
+    return out
+
+
+def _brute_circular_rows(scan, classes, pareto):
+    # The first ordering per vector is its witness.
+    found = {}
+    for perm, sep in scan:
+        found.setdefault(tuple(sum(sep[i] for i in c) for c in classes), perm)
+    if not pareto:
+        return sorted(found.items())
+    front = [
+        (c, w) for c, w in found.items()
+        if not any(o != c and all(x >= y for x, y in zip(o, c)) for o in found)
+    ]
+    return sorted(front, key=lambda r: (-sum(r[0]), r[0]))
+
+
+def _labelled_classes(labels):
+    classes = [[i for i, x in enumerate(labels) if x == k] for k in range(3)]
+    return [c for c in classes if c]
+
+
+def _class_choices(g, rng):
+    pairs = sd.nonincident_pairs(g)
+    return {
+        "singleton": [[i] for i in range(len(pairs))],
+        "orbits": sd.pair_orbits(g, sd.automorphisms(g)).classes,
+        "one": [list(range(len(pairs)))],
+        "three": _labelled_classes([rng.randrange(3) for _ in pairs]),
+    }
+
+
+def test_circular_kernel_matches_brute_force():
+    # Rows and witnesses of the XOR-split kernel against a scan of every
+    # canonical circular ordering, with and without the Pareto filter.
+    rng = random.Random(2718)
+    checked = 0
+    while checked < 32:
+        n = rng.randrange(4, 9)
+        g = random_graph(n, rng.choice((0.3, 0.5, 0.7)), rng)
+        if not sd.nonincident_pairs(g):
+            continue
+        scan = _brute_circular_scan(g)
+        choices = _class_choices(g, rng)
+        names = ["one", "three"] if n == 8 else sorted(choices)
+        for name in names:
+            for pareto in (True, False):
+                got = sd.enumerate_payoffs(g, "circular", choices[name], pareto=pareto)
+                want = _brute_circular_rows(scan, choices[name], pareto)
+                assert [(c, o.perm) for c, o in got] == want, (g.edges, name, pareto)
+        checked += 1
+
+
+def test_circular_kernel_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(4, 7), label="n")
+        possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(possible), unique=True), label="edges")
+        g = sd.graph_from_edges(n, edges)
+        pairs = sd.nonincident_pairs(g)
+        hypothesis.assume(pairs)
+        labels = data.draw(st.lists(st.integers(0, 2), min_size=len(pairs),
+                                    max_size=len(pairs)), label="classes")
+        classes = _labelled_classes(labels)
+        pareto = data.draw(st.booleans(), label="pareto")
+        got = sd.enumerate_payoffs(g, "circular", classes, pareto=pareto)
+        want = _brute_circular_rows(_brute_circular_scan(g), classes, pareto)
+        assert [(c, o.perm) for c, o in got] == want
+
+    check()
+
+
+def test_circular_sepdim_is_one_matches_apex_planarity():
+    # G is outerplanar iff G plus a vertex joined to every vertex is planar.
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(1729)
+    outerplanar = 0
+    for _ in range(40):
+        n = rng.randrange(4, 9)
+        g = random_graph(n, rng.choice((0.25, 0.35, 0.5)), rng)
+        h = nx.Graph(g.edges)
+        h.add_nodes_from(range(n))
+        h.add_edges_from((n, v) for v in range(n))
+        planar, _ = nx.check_planarity(h)
+        ok, witness = sd.circular_sepdim_is_one(g)
+        assert ok == planar, g.edges
+        if ok and sd.nonincident_pairs(g):
+            outerplanar += 1
+            assert sd.verify_separating_family(g, [witness])[0]
+            first = next(perm for perm, sep in _brute_circular_scan(g) if all(sep))
+            assert witness.perm == first
+    assert 5 <= outerplanar <= 35
+
+
 def test_workers_match_single_process():
     g = sd.complete_multipartite(2, 3)
     for mode in ("linear", "circular"):
