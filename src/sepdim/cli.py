@@ -54,7 +54,6 @@ from .strategies import (
     circular_spaced_strategy,
     interleave_separated_count,
     k4free_strategy,
-    layout_respects_subtrees,
     min_separation_probability,
     odd_binomial_prefix_sum,
     one_extra_x_count,
@@ -684,9 +683,6 @@ def cmd_tree(args) -> int:
         hits = [0] * len(pairs)
         for _ in range(args.samples):
             o = tree_strategy_sample(g, beta, rng, root=root_used)
-            assert layout_respects_subtrees(g, root_used, o), \
-                "sampled layout violated the subtree property"
-            pos = o.positions()
             for i, p in enumerate(pairs):
                 if separates(o, p):
                     hits[i] += 1

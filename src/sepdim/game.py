@@ -7,10 +7,13 @@ reciprocal of the game value and equals the optimum of the covering LP
 "minimize total ordering weight so every pair class is covered once".
 
 That covering LP is solved through its packing dual (max 1.v s.t. Av <= 1,
-v >= 0), which starts feasible on the slack basis, with Bland's rule over
-exact Fractions; the ordering weights are the duals of the packing rows.  The
-optimality certificate is recomputed from the raw matrix, independent of the
-pivot path.
+v >= 0), which starts feasible on the slack basis, with Bland's rule; the
+ordering weights are the duals of the packing rows.  Pivoting is
+fraction-free: with v_q = |class q| * u_q the constraint matrix is the raw
+integer counts, and one integer tableau with a common denominator takes
+exactly the pivots Bland's rule takes over Fractions (see ``_simplex_max``).
+The optimality certificate is recomputed from the raw matrix, independent of
+the pivot path.
 """
 
 from __future__ import annotations
@@ -47,23 +50,37 @@ class LPUnbounded(RuntimeError):
     pass
 
 
-def _simplex_max(matrix, rhs, objective):
-    """Maximize objective.v subject to matrix.v <= rhs, v >= 0.
+def _simplex_max(matrix, objective):
+    """Maximize objective.u subject to matrix.u <= 1, u >= 0, integer data.
 
-    Exact Fractions throughout; Bland's rule (lowest eligible index enters,
-    ratio ties broken by lowest basic index) guarantees termination and makes
-    solves deterministic.  Returns (optimum, v, row_duals).
+    Fraction-free (integer-preserving) pivoting: one integer tableau shares
+    the denominator d, the previous pivot element (d = 1 at the slack
+    basis).  Pivoting on (r, e) with p = T[r][e] keeps row r and sets every
+    other row, the cost row included, to (x*p - x_e*y) // d; by Sylvester's
+    identity every entry is a minor of the starting tableau, so the division
+    is exact.  Then d = p.  The true tableau is T/d with d > 0, so every sign
+    test and every ratio comparison (done by cross-multiplication) is the
+    one Bland's rule makes over Fractions: the lowest eligible index enters,
+    ratio ties go to the lowest basic index, and the pivot path, the final
+    basis and the returned vertex are those of the Fraction tableau (Bareiss
+    1968, Math. Comp. 22).
+
+    ``solve_game`` passes the counts and the class sizes: its packing LP in
+    u_q = v_q / |class q|.  Scaling a column by a positive constant changes
+    no reduced-cost sign and no ratio-test argmin, so this is also the path
+    of Bland's rule on the Fraction matrix counts / |class|.  Returns
+    (optimum, u, row_duals) as Fractions, built once from the last tableau.
     """
     m = len(matrix)
     k = len(objective)
-    F = Fraction
     tableau = [
-        [F(x) for x in row] + [F(1) if j == i else F(0) for j in range(m)] + [F(rhs[i])]
+        list(row) + [1 if j == i else 0 for j in range(m)] + [1]
         for i, row in enumerate(matrix)
     ]
-    cost = [F(c) for c in objective] + [F(0)] * (m + 1)
+    cost = list(objective) + [0] * (m + 1)
     basis = list(range(k, k + m))
     width = k + m
+    d = 1
 
     while True:
         enter = -1
@@ -74,39 +91,42 @@ def _simplex_max(matrix, rhs, objective):
         if enter < 0:
             break
         leave = -1
-        best_ratio = None
         for i in range(m):
             a = tableau[i][enter]
             if a > 0:
-                ratio = tableau[i][-1] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
+                if leave < 0:
+                    leave = i
+                    continue
+                # ratio_i < ratio_leave, both over the common denominator d.
+                lhs = tableau[i][-1] * tableau[leave][enter]
+                rhs = tableau[leave][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
             raise LPUnbounded("packing LP unbounded: a pair class is never separated")
-        piv = tableau[leave][enter]
-        row = [x / piv for x in tableau[leave]]
-        tableau[leave] = row
+        prow = tableau[leave]
+        p = prow[enter]
         for i in range(m):
-            if i != leave and tableau[i][enter]:
-                f = tableau[i][enter]
-                tableau[i] = [x - f * y for x, y in zip(tableau[i], row)]
-        if cost[enter]:
-            f = cost[enter]
-            cost = [x - f * y for x, y in zip(cost, row)]
+            if i == leave:
+                continue
+            row = tableau[i]
+            f = row[enter]
+            if f:
+                tableau[i] = [(x * p - f * y) // d for x, y in zip(row, prow)]
+            elif p != d:
+                tableau[i] = [x * p // d for x in row]
+        f = cost[enter]
+        cost = [(x * p - f * y) // d for x, y in zip(cost, prow)]
         basis[leave] = enter
+        d = p
 
-    v = [Fraction(0)] * k
+    u = [Fraction(0)] * k
     for i, b in enumerate(basis):
         if b < k:
-            v[b] = tableau[i][-1]
-    duals = [-cost[k + i] for i in range(m)]
-    optimum = sum(c * x for c, x in zip(objective, v))
-    return optimum, v, duals
+            u[b] = Fraction(tableau[i][-1], d)
+    duals = [Fraction(-cost[k + i], d) for i in range(m)]
+    optimum = sum(c * x for c, x in zip(objective, u))
+    return optimum, u, duals
 
 
 @dataclass
@@ -173,9 +193,9 @@ def solve_game(rows, class_sizes, class_labels=None, *, mode="linear",
         [Fraction(counts[q], class_sizes[q]) for q in range(k)]
         for counts, _ in rows
     ]
-    ones_r = [Fraction(1)] * len(rows)
-    ones_c = [Fraction(1)] * k
-    optimum, v, duals = _simplex_max(matrix, ones_r, ones_c)
+    # The same LP in u_q = v_q / |class q|: integer counts, objective sizes.
+    optimum, u, duals = _simplex_max([counts for counts, _ in rows], class_sizes)
+    v = [s * x for s, x in zip(class_sizes, u)]
     pi_f = optimum
     if pi_f <= 0:
         raise GameError("degenerate game: value would be infinite")

@@ -226,6 +226,25 @@ def part_letter(i: int) -> str:
     return chr(ord("A") + i)
 
 
+def _label_sequences(counts, cur, total):
+    """Every sequence with ``counts[lbl]`` copies of each label, in lex order.
+
+    Module level, not a closure that refers to itself: such a closure leaves
+    a reference cycle holding the caller's pattern list until the cyclic
+    collector runs.
+    """
+    if len(cur) == total:
+        yield tuple(cur)
+        return
+    for lbl in range(len(counts)):
+        if counts[lbl]:
+            counts[lbl] -= 1
+            cur.append(lbl)
+            yield from _label_sequences(counts, cur, total)
+            cur.pop()
+            counts[lbl] += 1
+
+
 def multipartite_patterns(g: Graph, mode: str = "linear"):
     """All distinct part-label sequences with the parts' multiplicities.
 
@@ -237,22 +256,7 @@ def multipartite_patterns(g: Graph, mode: str = "linear"):
         raise ValueError("pattern reduction requires a graph with parts")
     counts = [len(p) for p in g.parts]
     total = sum(counts)
-    out = []
-    cur = []
-
-    def rec():
-        if len(cur) == total:
-            out.append(tuple(cur))
-            return
-        for lbl in range(len(counts)):
-            if counts[lbl]:
-                counts[lbl] -= 1
-                cur.append(lbl)
-                rec()
-                cur.pop()
-                counts[lbl] += 1
-
-    rec()
+    out = list(_label_sequences(counts, [], total))
     if mode == "linear":
         return out
     canon = {}

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 import sepdim as sd
-from sepdim.game import GameError, solve_game
+from sepdim import game
+from sepdim.game import GameError, LPUnbounded, _simplex_max, solve_game
 
 from conftest import random_graph
 
@@ -190,3 +191,169 @@ def test_unbalanced_tripartite_comparison():
 def test_scan_rejects_unknown_family():
     with pytest.raises(GameError):
         sd.conjecture_scan(6, "quadripartite")
+
+
+# ---------------------------------------------------------------------------
+# The fraction-free simplex against the dense Fraction simplex it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_simplex_max(matrix, rhs, objective):
+    """Bland's-rule simplex over exact Fractions: max objective.v s.t.
+    matrix.v <= rhs, v >= 0; returns (optimum, v, row_duals)."""
+    m = len(matrix)
+    k = len(objective)
+    F = Fraction
+    tableau = [
+        [F(x) for x in row] + [F(1) if j == i else F(0) for j in range(m)] + [F(rhs[i])]
+        for i, row in enumerate(matrix)
+    ]
+    cost = [F(c) for c in objective] + [F(0)] * (m + 1)
+    basis = list(range(k, k + m))
+    width = k + m
+
+    while True:
+        enter = -1
+        for j in range(width):
+            if cost[j] > 0:
+                enter = j
+                break
+        if enter < 0:
+            break
+        leave = -1
+        best_ratio = None
+        for i in range(m):
+            a = tableau[i][enter]
+            if a > 0:
+                ratio = tableau[i][-1] / a
+                if (
+                    best_ratio is None
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < basis[leave])
+                ):
+                    best_ratio = ratio
+                    leave = i
+        if leave < 0:
+            raise LPUnbounded("packing LP unbounded")
+        piv = tableau[leave][enter]
+        row = [x / piv for x in tableau[leave]]
+        tableau[leave] = row
+        for i in range(m):
+            if i != leave and tableau[i][enter]:
+                f = tableau[i][enter]
+                tableau[i] = [x - f * y for x, y in zip(tableau[i], row)]
+        if cost[enter]:
+            f = cost[enter]
+            cost = [x - f * y for x, y in zip(cost, row)]
+        basis[leave] = enter
+
+    v = [Fraction(0)] * k
+    for i, b in enumerate(basis):
+        if b < k:
+            v[b] = tableau[i][-1]
+    duals = [-cost[k + i] for i in range(m)]
+    optimum = sum(c * x for c, x in zip(objective, v))
+    return optimum, v, duals
+
+
+def _both_simplexes(counts, sizes):
+    """(fraction-free, reference) results for the packing LP of solve_game,
+    the fraction-free one mapped back to v_q = size_q * u_q."""
+    matrix = [[Fraction(c[q], sizes[q]) for q in range(len(sizes))] for c in counts]
+    want = _reference_simplex_max(
+        matrix, [Fraction(1)] * len(counts), [Fraction(1)] * len(sizes)
+    )
+    optimum, u, duals = _simplex_max(counts, sizes)
+    return (optimum, [s * x for s, x in zip(sizes, u)], duals), want
+
+
+def _captured_lps(monkeypatch, solves):
+    """The (counts, sizes) of every LP that ``solves`` hands to solve_game."""
+    lps = []
+    inner = game.solve_game
+
+    def capture(rows, sizes, *args, **kwargs):
+        rows = list(rows)
+        lps.append(([counts for counts, _ in rows], list(sizes)))
+        return inner(rows, sizes, *args, **kwargs)
+
+    monkeypatch.setattr(game, "solve_game", capture)
+    for solve in solves:
+        solve()
+    monkeypatch.undo()
+    return lps
+
+
+def _assert_same_vertex(lps):
+    for counts, sizes in lps:
+        got, want = _both_simplexes(counts, sizes)
+        assert got == want, (counts, sizes)
+
+
+def test_simplex_pivot_path_unreduced_lps(monkeypatch):
+    rng = random.Random(2718)
+    graphs = []
+    while len(graphs) < 40:
+        g = random_graph(rng.randrange(4, 7), 0.6, rng)
+        if sd.nonincident_pairs(g):
+            graphs.append(g)
+    solves = [
+        (lambda g=g, mode=mode: sd.fractional_sepdim(g, mode, "none"))
+        for i, g in enumerate(graphs)
+        for mode in (("linear", "circular") if i % 4 == 0 else ("linear",))
+    ]
+    # K6 (a 90 x 45 LP) is the largest unreduced LP of a 6-vertex graph.
+    solves.append(lambda: sd.fractional_sepdim(sd.complete(6), "linear", "none"))
+    lps = _captured_lps(monkeypatch, solves)
+    assert len(lps) == len(solves)
+    _assert_same_vertex(lps)
+
+
+def test_simplex_pivot_path_pattern_and_orbit_lps(monkeypatch):
+    solves = [
+        lambda: sd.fractional_sepdim(sd.complete_multipartite(3, 3, 3), "linear", "patterns"),
+        lambda: sd.fractional_sepdim(sd.complete_multipartite(2, 3, 4), "linear", "patterns"),
+        lambda: sd.fractional_sepdim(sd.complete_multipartite(3, 3), "circular", "patterns"),
+        lambda: sd.fractional_sepdim(sd.petersen(), "circular", "orbits"),
+    ]
+    lps = _captured_lps(monkeypatch, solves)
+    assert len(lps) == 4
+    assert all(max(sizes) > 1 for _, sizes in lps)
+    _assert_same_vertex(lps)
+
+
+def test_simplex_pivot_path_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=200, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        k = data.draw(st.integers(1, 5), label="classes")
+        sizes = data.draw(st.lists(st.integers(1, 6), min_size=k, max_size=k),
+                          label="sizes")
+        counts = data.draw(
+            st.lists(
+                st.tuples(*[st.integers(0, s) for s in sizes]),
+                min_size=1, max_size=8,
+            ),
+            label="counts",
+        )
+        try:
+            got, want = _both_simplexes(counts, sizes)
+        except LPUnbounded:
+            # A class that no row separates: the reference agrees.
+            assert any(all(c[q] == 0 for c in counts) for q in range(k))
+            with pytest.raises(LPUnbounded):
+                _reference_simplex_max(
+                    [[Fraction(c[q], sizes[q]) for q in range(k)] for c in counts],
+                    [1] * len(counts), [1] * k,
+                )
+            return
+        assert got == want
+
+    check()
+
+
+def test_solve_game_unbounded():
+    with pytest.raises(LPUnbounded):
+        solve_game([((0, 1), "r")], [1, 1])

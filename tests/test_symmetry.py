@@ -1,3 +1,4 @@
+import gc
 import random
 from itertools import combinations, permutations
 
@@ -88,6 +89,24 @@ def test_pattern_counts():
     assert len(sd.multipartite_patterns(sd.complete_multipartite(2, 2))) == 6
     assert len(sd.multipartite_patterns(sd.complete_multipartite(3, 3))) == 20
     assert len(sd.multipartite_patterns(sd.complete_multipartite(2, 2, 2))) == 90
+
+
+def test_patterns_leave_no_reference_cycle():
+    # The pattern list is freed when the call returns, not at the next
+    # cyclic collection.
+    g = sd.complete_multipartite(3, 4, 4)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for mode in ("linear", "circular"):
+            pats = sd.multipartite_patterns(g, mode)
+            assert pats == sorted(set(pats))
+            del pats
+            assert gc.collect() == 0, mode
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_pattern_payoff_k33():
