@@ -40,7 +40,6 @@ from .separation import (
     EnumerationCapExceeded,
     Ordering,
     count_separated,
-    max_separation,
     separates,
 )
 from .strategies import (
@@ -68,7 +67,7 @@ from .strategies import (
     tripartite_block_strategy,
     uniform_strategy,
 )
-from .symmetry import SymmetryCapExceeded, automorphisms, pair_orbits
+from .symmetry import SymmetryCapExceeded
 
 SCHEMA = 1
 
@@ -97,7 +96,7 @@ def _graph_summary(g: Graph, origin: dict) -> dict:
 
 
 def _report(command, result, *, graph=None, mode=None, reduction=None,
-            seed=None, flags=None, started=None) -> dict:
+            seed=None, started=None) -> dict:
     report = {
         "schema": SCHEMA,
         "command": command,
@@ -111,8 +110,6 @@ def _report(command, result, *, graph=None, mode=None, reduction=None,
         report["reduction"] = reduction
     if seed is not None:
         report["seed"] = seed
-    if flags:
-        report["flags"] = flags
     if started is not None:
         report["timing_s"] = round(time.monotonic() - started, 3)
     return report
@@ -131,18 +128,6 @@ def _emit(report: dict, args, rows=None, human_lines=None) -> None:
             print(line)
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("SEPDIM_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 # ---------------------------------------------------------------------------
 # solve
 # ---------------------------------------------------------------------------
@@ -150,18 +135,9 @@ def _threads(args) -> int:
 def cmd_solve(args) -> int:
     started = time.monotonic()
     g, origin = _load_graph(args.source)
-    workers = _threads(args)
     cap = args.linear_cap if args.mode == "linear" else args.circular_cap
-    try:
-        sol = fractional_sepdim(g, args.mode, args.reduction, cap=cap,
-                                pattern_cap=args.pattern_cap, workers=workers)
-    except EnumerationCapExceeded as exc:
-        if not args.i_have_time:
-            print(f"error: {exc}", file=sys.stderr)
-            print("pass --i-have-time to run the budgeted lower-bound search",
-                  file=sys.stderr)
-            return 1
-        return _long_run_search(args, g, origin, started)
+    sol = fractional_sepdim(g, args.mode, args.reduction, cap=cap,
+                            pattern_cap=args.pattern_cap)
     label = "pi_f" if args.mode == "linear" else "pi_f_circ"
     result = {
         label: _frac_str(sol.pi_f),
@@ -176,8 +152,7 @@ def cmd_solve(args) -> int:
     }
     report = _report(
         ["solve", args.source], result, graph=_graph_summary(g, origin),
-        mode=args.mode, reduction=sol.reduction,
-        flags={"threads": workers}, started=started,
+        mode=args.mode, reduction=sol.reduction, started=started,
     )
     human = [
         f"{label} = {_frac_str(sol.pi_f)}",
@@ -192,54 +167,6 @@ def cmd_solve(args) -> int:
          ["reduction", sol.reduction], ["certificate", result["certificate"]]],
     )
     _emit(report, args, rows=rows, human_lines=human)
-    return 0
-
-
-def _long_run_search(args, g, origin, started) -> int:
-    """Budgeted branch-and-bound lower-bound search for over-cap graphs.
-
-    Reports the best weighted separation found per pair orbit; results are
-    lower bounds only unless the search finished inside the budget.
-    """
-    aut = automorphisms(g)
-    orbits = pair_orbits(g, aut)
-    per_class = []
-    exact = True
-    for idx, cls in enumerate(orbits.classes):
-        weights = [Fraction(1 if j == idx else 0) for j in range(len(orbits.classes))]
-        got = max_separation(g, args.mode, orbits.classes, weights,
-                             method="bnb", budget_s=args.budget)
-        exact = exact and got.exact
-        per_class.append({
-            "class": idx,
-            "size": len(cls),
-            "best_separated": int(got.score),
-            "witness": got.ordering.serialize(),
-            "exact": got.exact,
-        })
-    result = {
-        "search": "branch-and-bound",
-        "budget_s": args.budget,
-        "lower_bound_only": not exact,
-        "per_class": per_class,
-    }
-    report = _report(["solve", args.source], result,
-                     graph=_graph_summary(g, origin), mode=args.mode,
-                     reduction="orbits", flags={"budget_s": args.budget},
-                     started=started)
-    human = [
-        f"budgeted search ({args.budget}s per class); "
-        + ("completed exactly" if exact else "lower bounds only"),
-    ]
-    for row in per_class:
-        human.append(
-            f"  class {row['class']} (size {row['size']}): best {row['best_separated']}"
-            + ("" if row["exact"] else " (not proven optimal)")
-        )
-    _emit(report, args, rows=(["class", "size", "best", "exact"],
-                              [[r["class"], r["size"], r["best_separated"], r["exact"]]
-                               for r in per_class]),
-          human_lines=human)
     return 0
 
 
@@ -734,19 +661,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("linear", "circular"), default="linear")
     p.add_argument("--reduction", choices=("auto", "none", "orbits", "patterns"),
                    default="auto")
-    p.add_argument("--threads", type=int, default=None,
-                   help="linear enumeration workers (or SEPDIM_THREADS); "
-                        "circular enumeration runs in one process")
     p.add_argument("--linear-cap", type=int, default=None,
                    help="linear vertex cap of the path that runs (default: 16 "
                         "for the orbit subset DP, 10 for enumeration)")
     p.add_argument("--circular-cap", type=int, default=CIRCULAR_ENUM_CAP)
     p.add_argument("--pattern-cap", type=int, default=None,
                    help="pattern reduction vertex cap (default 14)")
-    p.add_argument("--i-have-time", action="store_true",
-                   help="run the budgeted lower-bound search when over the caps")
-    p.add_argument("--budget", type=float, default=60.0,
-                   help="branch-and-bound budget in seconds per class")
     add_output_flags(p)
     p.set_defaults(func=cmd_solve)
 

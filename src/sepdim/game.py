@@ -39,6 +39,8 @@ from .symmetry import (
 )
 
 PATTERN_N_CAP = 14
+BIPARTITE_SCAN_CAP = 14
+TRIPARTITE_SCAN_CAP = 12
 REDUCTIONS = ("auto", "none", "orbits", "patterns")
 
 
@@ -283,7 +285,7 @@ def _column_generation(g: Graph, pairs, classes, sizes, labels, cap) -> GameSolu
 
 
 def fractional_sepdim(g: Graph, mode: str = "linear", reduction: str = "auto",
-                      *, cap=None, pattern_cap=None, workers=1) -> GameSolution:
+                      *, cap=None, pattern_cap=None) -> GameSolution:
     """Exact fractional (circular) separation dimension with certificate.
 
     Reductions: "none" solves over raw orderings with singleton pair classes;
@@ -296,8 +298,9 @@ def fractional_sepdim(g: Graph, mode: str = "linear", reduction: str = "auto",
     Linear "orbits" solves by column generation with the subset-DP best
     response, capped at ``LINEAR_DP_CAP`` vertices; the other reductions
     enumerate payoff vectors under the enumeration caps.  ``cap`` overrides
-    the vertex cap of the DP or enumeration path that runs; ``workers``
-    splits linear enumeration only.
+    the vertex cap of the DP or enumeration path that runs; a graph over it
+    raises ``EnumerationCapExceeded``.  Each reduction has this one path, run
+    in one process, so the certificate depends on the graph alone.
     """
     if reduction not in REDUCTIONS:
         raise GameError(f"reduction must be one of {REDUCTIONS}")
@@ -343,7 +346,7 @@ def fractional_sepdim(g: Graph, mode: str = "linear", reduction: str = "auto",
             return _column_generation(g, pairs, classes, sizes, labels, cap)
         rows = [
             (counts, o.serialize())
-            for counts, o in enumerate_payoffs(g, mode, classes, cap=cap, workers=workers)
+            for counts, o in enumerate_payoffs(g, mode, classes, cap=cap)
         ]
     else:
         classes = [[i] for i in range(len(pairs))]
@@ -351,7 +354,7 @@ def fractional_sepdim(g: Graph, mode: str = "linear", reduction: str = "auto",
         sizes = [1] * len(pairs)
         rows = [
             (counts, o.serialize())
-            for counts, o in enumerate_payoffs(g, mode, classes, cap=cap, workers=workers)
+            for counts, o in enumerate_payoffs(g, mode, classes, cap=cap)
         ]
     return solve_game(rows, sizes, labels, mode=mode, reduction=reduction)
 
@@ -364,23 +367,22 @@ class ScanRow:
     skipped: str | None = None
 
 
-def conjecture_scan(n: int, family: str, mode: str = "linear", *,
-                    bipartite_cap=14, tripartite_cap=12) -> list[ScanRow]:
+def conjecture_scan(n: int, family: str, mode: str = "linear") -> list[ScanRow]:
     """Exact pi_f for every complete bipartite/tripartite shape on n vertices.
 
     Rows come back sorted by value descending with the argmax flagged;
     shapes over the cap are reported as skipped.
     """
     if family == "bipartite":
-        if n > bipartite_cap:
+        if n > BIPARTITE_SCAN_CAP:
             raise EnumerationCapExceeded(
-                f"bipartite scan capped at n <= {bipartite_cap}"
+                f"bipartite scan capped at n <= {BIPARTITE_SCAN_CAP}"
             )
         shapes = [(a, n - a) for a in range(1, n // 2 + 1)]
     elif family == "tripartite":
-        if n > tripartite_cap:
+        if n > TRIPARTITE_SCAN_CAP:
             raise EnumerationCapExceeded(
-                f"tripartite scan capped at n <= {tripartite_cap}"
+                f"tripartite scan capped at n <= {TRIPARTITE_SCAN_CAP}"
             )
         shapes = [
             (a, b, n - a - b)

@@ -328,8 +328,10 @@ def nonincident_pairs(g: Graph) -> list[EdgePair]:
 # ---------------------------------------------------------------------------
 
 def parse_graph(text: str) -> Graph:
-    """Parse an edge-list document: one "u v" pair per line, "#" comments and
-    blank lines ignored.  Errors carry the offending line number."""
+    """Parse an edge-list document: one "u v" edge per line, or one "v" to
+    declare a vertex (an isolated one, say); "#" comments and blank lines
+    ignored.  n is the largest label + 1.  Errors carry the offending line
+    number."""
     edges = []
     seen = set()
     max_label = -1
@@ -338,14 +340,20 @@ def parse_graph(text: str) -> Graph:
         if not line:
             continue
         fields = line.split()
-        if len(fields) != 2:
-            raise GraphError(f"line {lineno}: expected two vertex labels, got {raw!r}")
+        if len(fields) > 2:
+            raise GraphError(
+                f"line {lineno}: expected one vertex label or two, got {raw!r}"
+            )
         try:
-            u, v = int(fields[0]), int(fields[1])
+            labels = [int(x) for x in fields]
         except ValueError:
             raise GraphError(f"line {lineno}: non-integer vertex label in {raw!r}")
-        if u < 0 or v < 0:
+        if min(labels) < 0:
             raise GraphError(f"line {lineno}: negative vertex label in {raw!r}")
+        max_label = max(max_label, *labels)
+        if len(labels) == 1:
+            continue
+        u, v = labels
         if u == v:
             raise GraphError(f"line {lineno}: self-loop at vertex {u}")
         e = (min(u, v), max(u, v))
@@ -353,9 +361,8 @@ def parse_graph(text: str) -> Graph:
             raise GraphError(f"line {lineno}: duplicate edge {e}")
         seen.add(e)
         edges.append(e)
-        max_label = max(max_label, u, v)
     if max_label < 0:
-        raise GraphError("no edges found in input")
+        raise GraphError("no vertices found in input")
     return graph_from_edges(max_label + 1, edges)
 
 

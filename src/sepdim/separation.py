@@ -1,4 +1,5 @@
-"""Separation predicates, payoff enumeration, and ordering searches.
+"""Separation predicates, payoff enumeration, the exact linear best response,
+and covering checks.  Every search here is exact and runs in one process.
 
 Linear separation: both endpoints of one edge precede both endpoints of the
 other.  Circular separation: the four endpoints do not alternate around the
@@ -12,12 +13,10 @@ vertex pairs and split at a prefix (``_CircularSplit``).
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import lcm
-from multiprocessing import Pool
 
 from .graphs import EdgePair, Graph, nonincident_pairs
 
@@ -26,7 +25,6 @@ CIRCULAR_ENUM_CAP = 10
 LINEAR_DP_CAP = 16
 INTEGER_LINEAR_CAP = 7
 INTEGER_CIRCULAR_CAP = 8
-DEFAULT_BNB_BUDGET_S = 60.0
 
 MODES = ("linear", "circular")
 
@@ -160,19 +158,17 @@ def _singleton_classes(npairs):
     return [[i] for i in range(npairs)]
 
 
-def _linear_scan(n, specs, nclasses, prefixes):
+def _linear_scan(n, specs, nclasses):
     """Collect distinct payoff vectors over linear orderings.
 
     Enumerates position maps; keeps the lexicographically-least witness map
-    per vector.  ``prefixes`` restricts the first two entries (worker split).
-    Exactly one of each reversal pair is visited: the reversed ordering has
-    position map n-1-q, so q[0] (with a q[1] tiebreak for the odd-n center)
-    decides which copy survives.
+    per vector.  Exactly one of each reversal pair is visited: the reversed
+    ordering has position map n-1-q, so q[0] (with a q[1] tiebreak for the
+    odd-n center) decides which copy survives.
     """
     half = n - 1
     found = {}
-    singleton = nclasses == len(specs)
-    if prefixes is None and singleton:
+    if nclasses == len(specs):
         # Payoff vectors are 0/1 here; accumulate them as bitmasks.
         bits = [(a, b, c, d, 1 << k) for a, b, c, d, k in specs]
         for q in permutations(range(n)):
@@ -195,19 +191,7 @@ def _linear_scan(n, specs, nclasses, prefixes):
             tuple((m >> i) & 1 for i in range(nclasses)): q
             for m, q in found.items()
         }
-    if prefixes is None:
-        stream = permutations(range(n))
-    else:
-        def prefixed():
-            for p0, p1 in prefixes:
-                d0 = 2 * p0 - half
-                if d0 > 0 or (d0 == 0 and 2 * p1 > half):
-                    continue
-                remaining = [p for p in range(n) if p != p0 and p != p1]
-                for tail in permutations(remaining):
-                    yield (p0, p1) + tail
-        stream = prefixed()
-    for q in stream:
+    for q in permutations(range(n)):
         d0 = 2 * q[0] - half
         if d0 > 0 or (d0 == 0 and 2 * q[1] > half):
             continue
@@ -225,10 +209,6 @@ def _linear_scan(n, specs, nclasses, prefixes):
         if key not in found:
             found[key] = q
     return found
-
-
-def _linear_worker(args):
-    return _linear_scan(*args)
 
 
 def _within(seq, cross):
@@ -426,16 +406,14 @@ def _pos_to_ordering(q):
 
 
 def enumerate_payoffs(g: Graph, mode: str, classes=None, *, pareto=True,
-                      cap=None, workers=1):
+                      cap=None):
     """Distinct payoff vectors achieved by any ordering of the given mode.
 
     Returns a list of (counts, witness Ordering), deduplicated and (by
     default) Pareto-filtered, deterministically ordered; each witness is the
-    least ordering with its vector.  ``workers`` applies to linear mode
-    only: parallel workers split the linear stream by a two-entry prefix,
-    and merging keeps the least witness per vector, so output is identical
-    for any worker count.  Circular mode runs the XOR-split kernel
-    (``_CircularSplit``) in one process.
+    least ordering with its vector.  Linear mode scans position maps
+    (``_linear_scan``), circular mode runs the XOR-split kernel
+    (``_CircularSplit``).
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -448,22 +426,9 @@ def enumerate_payoffs(g: Graph, mode: str, classes=None, *, pareto=True,
         trivial = Ordering(mode, tuple(range(g.n)))
         return [((0,) * nclasses, trivial)]
     specs = _pair_specs(pairs, classes)
-    n = g.n
     if mode == "circular":
-        return _circular_payoffs(n, pairs, classes, pareto)
-    if workers > 1 and n >= 4:
-        prefixes = sorted(permutations(range(n), 2))
-        chunks = [prefixes[i::workers] for i in range(workers)]
-        with Pool(workers) as pool:
-            results = pool.map(_linear_worker,
-                               [(n, specs, nclasses, c) for c in chunks])
-        found = {}
-        for part in results:
-            for key, witness in part.items():
-                if key not in found or witness < found[key]:
-                    found[key] = witness
-    else:
-        found = _linear_scan(n, specs, nclasses, None)
+        return _circular_payoffs(g.n, pairs, classes, pareto)
+    found = _linear_scan(g.n, specs, nclasses)
     rows = pareto_filter(found) if pareto else sorted(found.items())
     return [(counts, _pos_to_ordering(q)) for counts, q in rows]
 
@@ -476,19 +441,15 @@ def enumerate_payoffs(g: Graph, mode: str, classes=None, *, pareto=True,
 class MaxSeparation:
     score: Fraction
     ordering: Ordering
-    exact: bool
 
 
 def max_separation(g: Graph, mode: str, classes=None, weights=None, *,
-                   method="enumerate", budget_s=DEFAULT_BNB_BUDGET_S,
                    cap=None) -> MaxSeparation:
     """Maximize the weighted per-class separated counts over orderings.
 
-    ``method="enumerate"`` is exhaustive within the caps.  ``method="bnb"``
-    is a depth-first branch and bound with the coarse bound "pairs not yet
-    decided could all be separated" and a wall-clock budget; when the budget
-    runs out the best-so-far is returned with ``exact=False`` (a lower bound
-    only).
+    Exhaustive within the enumeration caps: the best payoff row of
+    ``enumerate_payoffs``.  This is the independent reference the DP-based
+    solves are checked against.
     """
     pairs = nonincident_pairs(g)
     if classes is None:
@@ -497,87 +458,16 @@ def max_separation(g: Graph, mode: str, classes=None, weights=None, *,
         weights = [Fraction(1)] * len(classes)
     weights = [Fraction(w) for w in weights]
     if not pairs:
-        return MaxSeparation(Fraction(0), Ordering(mode, tuple(range(g.n))), True)
-    if method == "enumerate":
-        # Pareto filtering is only sound for nonnegative weights.
-        keep_pareto = all(w >= 0 for w in weights)
-        rows = enumerate_payoffs(g, mode, classes, pareto=keep_pareto, cap=cap)
-        best = None
-        for counts, ordering in rows:
-            score = sum(w * c for w, c in zip(weights, counts))
-            if best is None or score > best[0]:
-                best = (score, ordering)
-        return MaxSeparation(best[0], best[1], True)
-    if method != "bnb":
-        raise ValueError("method must be 'enumerate' or 'bnb'")
-    return _branch_and_bound(g, mode, pairs, classes, weights, budget_s)
-
-
-def _branch_and_bound(g, mode, pairs, classes, weights, budget_s):
-    n = g.n
-    cls_of = {}
-    for k, cls in enumerate(classes):
-        for i in cls:
-            cls_of[i] = k
-    pair_weight = [weights[cls_of[i]] for i in range(len(pairs))]
-    endpoints = [p[0] + p[1] for p in pairs]
-    deadline = time.monotonic() + budget_s
-    test = _linear_separated if mode == "linear" else _circular_separated
-
-    # Greedy seed so pruning has a baseline.
-    ident = Ordering(mode, tuple(range(n)))
-    seed = count_separated(ident, pairs, _singleton_classes(len(pairs)))
-    state = {
-        "best_score": sum(w for w, c in zip(pair_weight, seed) if c),
-        "best_perm": tuple(range(n)),
-        "timed_out": False,
-    }
-
-    prefix = []
-    placed = [False] * n
-    pos = [-1] * n
-
-    def scores():
-        got = Fraction(0)
-        optimistic = Fraction(0)
-        for i, eps in enumerate(endpoints):
-            if all(placed[v] for v in eps):
-                a, b, c, d = eps
-                if test(pos, a, b, c, d):
-                    got += pair_weight[i]
-            else:
-                optimistic += pair_weight[i]
-        return got, optimistic
-
-    def rec():
-        if state["timed_out"] or time.monotonic() > deadline:
-            state["timed_out"] = True
-            return
-        got, optimistic = scores()
-        if len(prefix) == n:
-            if got > state["best_score"]:
-                state["best_score"] = got
-                state["best_perm"] = tuple(prefix)
-            return
-        if got + optimistic <= state["best_score"]:
-            return
-        for v in range(n):
-            if placed[v]:
-                continue
-            if mode == "circular" and not prefix and v != 0:
-                break  # rotation canonicalization: circular orderings start at 0
-            placed[v] = True
-            pos[v] = len(prefix)
-            prefix.append(v)
-            rec()
-            prefix.pop()
-            pos[v] = -1
-            placed[v] = False
-
-    rec()
-    return MaxSeparation(
-        state["best_score"], Ordering(mode, state["best_perm"]), not state["timed_out"]
-    )
+        return MaxSeparation(Fraction(0), Ordering(mode, tuple(range(g.n))))
+    # Pareto filtering is only sound for nonnegative weights.
+    keep_pareto = all(w >= 0 for w in weights)
+    rows = enumerate_payoffs(g, mode, classes, pareto=keep_pareto, cap=cap)
+    best = None
+    for counts, ordering in rows:
+        score = sum(w * c for w, c in zip(weights, counts))
+        if best is None or score > best[0]:
+            best = (score, ordering)
+    return MaxSeparation(best[0], best[1])
 
 
 def best_response(g: Graph, classes, weights, *, cap=None) -> MaxSeparation:
@@ -600,7 +490,7 @@ def best_response(g: Graph, classes, weights, *, cap=None) -> MaxSeparation:
     pairs = nonincident_pairs(g)
     weights = [Fraction(w) for w in weights]
     if not pairs:
-        return MaxSeparation(Fraction(0), Ordering("linear", tuple(range(n))), True)
+        return MaxSeparation(Fraction(0), Ordering("linear", tuple(range(n))))
     denom = lcm(*(w.denominator for w in weights))
     scaled = [int(w * denom) for w in weights]
 
@@ -657,7 +547,7 @@ def best_response(g: Graph, classes, weights, *, cap=None) -> MaxSeparation:
     counts = count_separated(ordering, pairs, classes)
     if sum(w * c for w, c in zip(weights, counts)) != score:
         raise AssertionError("subset DP score disagrees with a recount of its witness")
-    return MaxSeparation(score, ordering, True)
+    return MaxSeparation(score, ordering)
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +603,7 @@ def _separation_masks(g: Graph, mode: str, cap):
         full = (1 << len(pairs)) - 1
         return pairs, {full ^ m for m in _CircularSplit(g.n, pairs).masks()}
     specs = _pair_specs(pairs, _singleton_classes(len(pairs)))
-    found = _linear_scan(g.n, specs, len(pairs), None)
+    found = _linear_scan(g.n, specs, len(pairs))
     masks = {sum(1 << i for i, c in enumerate(counts) if c) for counts in found}
     return pairs, masks
 

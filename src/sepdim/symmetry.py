@@ -143,14 +143,14 @@ def closure(generators, n):
     return seen
 
 
-def automorphisms(g: Graph, *, n_cap=AUTOMORPHISM_N_CAP,
-                  order_cap=AUTOMORPHISM_ORDER_CAP) -> AutomorphismGroup:
+def automorphisms(g: Graph) -> AutomorphismGroup:
     """Full automorphism group by backtracking with invariant pruning."""
-    if g.n > n_cap:
+    if g.n > AUTOMORPHISM_N_CAP:
         raise SymmetryCapExceeded(
-            f"automorphism search is capped at n <= {n_cap} (graph has n={g.n})"
+            f"automorphism search is capped at n <= {AUTOMORPHISM_N_CAP} "
+            f"(graph has n={g.n})"
         )
-    elements = sorted(_search_maps(g, g, limit=order_cap))
+    elements = sorted(_search_maps(g, g, limit=AUTOMORPHISM_ORDER_CAP))
     identity = tuple(range(g.n))
     generators = []
     known = {identity}
@@ -276,10 +276,6 @@ def pattern_ordering(g: Graph, pattern, mode: str = "linear") -> Ordering:
     iters = [iter(p) for p in g.parts]
     perm = tuple(next(iters[lbl]) for lbl in pattern)
     return Ordering(mode, perm)
-
-
-def pattern_string(pattern) -> str:
-    return "".join(part_letter(lbl) for lbl in pattern)
 
 
 def signature_classes(g: Graph):

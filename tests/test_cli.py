@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from sepdim.cli import main
 
 
@@ -52,13 +54,22 @@ def test_solve_file_input(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "solve", "@" + str(path))
     assert code == 0
     assert "pi_f = 2" in out
+    # A one-label line declares a vertex: an edgeless five-vertex graph.
+    path = tmp_path / "point.edges"
+    path.write_text("4\n")
+    code, out, _ = run_cli(capsys, "solve", str(path), "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["graph"]["n"] == 5 and report["graph"]["pairs"] == 0
+    assert report["result"]["pi_f"] == "0"
+    assert report["result"]["certificate"] == "trivial"
 
 
 def test_solve_cap_refusal(capsys):
     code, _, err = run_cli(capsys, "solve", "heawood", "--mode", "circular")
     assert code == 1
-    assert "capped" in err
-    assert "--i-have-time" in err
+    assert "circular enumeration is capped at n <= 10" in err
+    assert "budget" not in err and "--i-have-time" not in err
     # Linear Heawood is within the subset-DP cap and solved exactly.
     code, out, _ = run_cli(capsys, "solve", "heawood", "--json")
     assert code == 0
@@ -87,13 +98,23 @@ def test_solve_bad_family(capsys):
     assert "error" in err
 
 
-def test_solve_threads_agree(capsys):
-    code, out1, _ = run_cli(capsys, "solve", "C:6", "--reduction", "none", "--json")
-    code, out2, _ = run_cli(capsys, "solve", "C:6", "--reduction", "none",
-                            "--threads", "2", "--json")
-    r1, r2 = json.loads(out1), json.loads(out2)
-    assert r1["result"]["pi_f"] == r2["result"]["pi_f"] == "3/2"
-    assert r1["result"]["primal"] == r2["result"]["primal"]
+@pytest.mark.parametrize("flag", [["--threads", "2"], ["--i-have-time"],
+                                  ["--budget", "1"]],
+                         ids=["threads", "i-have-time", "budget"])
+def test_solve_retired_flags_rejected(capsys, flag):
+    # One deterministic solve path: no worker count, no timed search.
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "C:5", *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_solve_json_has_no_flags(capsys):
+    code, out, _ = run_cli(capsys, "solve", "C:5", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["result"]["pi_f"] == "5/3"
+    assert "flags" not in report
 
 
 def test_verify_identities(capsys):
@@ -187,13 +208,3 @@ def test_tree_root_out_of_range(capsys):
     code, _, err = run_cli(capsys, "tree", "path:6", "--root", "9")
     assert code == 1
     assert "out of range" in err
-
-
-def test_long_run_search_flagged(capsys):
-    code, out, _ = run_cli(capsys, "solve", "heawood", "--mode", "circular",
-                           "--i-have-time", "--budget", "1.0", "--json")
-    assert code == 0
-    result = json.loads(out)["result"]
-    assert result["search"] == "branch-and-bound"
-    assert result["lower_bound_only"] is True
-    assert all(row["best_separated"] >= 0 for row in result["per_class"])

@@ -109,6 +109,27 @@ def test_parse_graph_malformed():
         sd.parse_graph("a b\n")
 
 
+def test_parse_graph_isolated_vertices():
+    # A one-label line declares a vertex, so top-labelled isolated vertices
+    # are kept and an edgeless file is a graph.
+    g = sd.parse_graph("0 1\n5\n")
+    assert g.n == 6
+    assert g.edges == ((0, 1),)
+    g = sd.parse_graph("0 1\n2 3\n7\n")
+    assert g.n == 8
+    sol = sd.fractional_sepdim(g)
+    assert sol.pi_f == 1
+    assert all(sd.Ordering.parse(key).n == 8 for key, _ in sol.primal)
+    g = sd.parse_graph("4\n")
+    assert (g.n, g.edges, sd.nonincident_pairs(g)) == (5, (), [])
+
+
+def test_parse_graph_needs_a_vertex():
+    for text in ("", "# only a comment\n\n"):
+        with pytest.raises(GraphError, match="no vertices"):
+            sd.parse_graph(text)
+
+
 def test_parse_petersen_up_to_relabeling():
     base = sd.petersen()
     relabel = [3, 7, 0, 9, 4, 1, 8, 5, 2, 6]

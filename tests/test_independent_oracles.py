@@ -1,8 +1,8 @@
 """Cross-validation against fully independent computation routes.
 
 These tests rebuild the objects from first principles (raw permutation
-enumeration, a floating-point LP solver, naive group filtering) and compare
-with the exact pipeline.
+enumeration, a floating-point LP solver, naive group filtering, networkx
+graph matching) and compare with the exact pipeline.
 """
 
 import random
@@ -15,8 +15,6 @@ import sepdim as sd
 
 from conftest import random_graph
 
-scipy_linprog = pytest.importorskip("scipy.optimize").linprog
-
 
 def _naive_separated(perm, pair):
     pos = {v: i for i, v in enumerate(perm)}
@@ -28,6 +26,7 @@ def _naive_separated(perm, pair):
 
 def _float_covering_optimum(g):
     """Covering LP over all orderings, solved in floating point by HiGHS."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
     pairs = sd.nonincident_pairs(g)
     columns = []
     for perm in permutations(range(g.n)):
@@ -36,7 +35,7 @@ def _float_covering_optimum(g):
     n_orderings = len(columns)
     a_ub = [[-columns[s][i] for s in range(n_orderings)] for i in range(len(pairs))]
     b_ub = [-1.0] * len(pairs)
-    res = scipy_linprog(
+    res = linprog(
         c=[1.0] * n_orderings, A_ub=a_ub, b_ub=b_ub,
         bounds=[(0, None)] * n_orderings, method="highs",
     )
@@ -89,6 +88,24 @@ def test_automorphism_order_against_naive_filter():
     for g in cases:
         aut = sd.automorphisms(g)
         assert aut.order == _naive_automorphism_count(g)
+
+
+def test_automorphism_order_against_networkx():
+    nx = pytest.importorskip("networkx")
+    cases = [(sd.petersen(), 120), (sd.heawood(), 336),
+             (sd.complete_multipartite(4, 4), 1152)]
+    rng = random.Random(4423)
+    cases += [(random_graph(rng.randrange(3, 9), rng.choice((0.3, 0.5, 0.7)), rng),
+               None) for _ in range(20)]
+    for g, want in cases:
+        h = nx.Graph()
+        h.add_nodes_from(range(g.n))
+        h.add_edges_from(g.edges)
+        count = sum(1 for _ in nx.algorithms.isomorphism.GraphMatcher(h, h)
+                    .isomorphisms_iter())
+        assert sd.automorphisms(g).order == count
+        if want is not None:
+            assert count == want
 
 
 def test_integer_cover_against_naive_search():

@@ -140,15 +140,6 @@ def test_max_separation_weighted_class():
         )
 
 
-def test_branch_and_bound_matches_enumeration():
-    for g in (sd.cycle(5), sd.complete_multipartite(2, 3), sd.complete(4)):
-        for mode in ("linear", "circular"):
-            enum = sd.max_separation(g, mode)
-            bnb = sd.max_separation(g, mode, method="bnb", budget_s=30)
-            assert bnb.exact
-            assert bnb.score == enum.score
-
-
 def test_best_response_matches_enumeration():
     # The subset DP against exhaustive enumeration, on pair orbits and on
     # singleton classes, with integer, fractional and zero weights.
@@ -170,7 +161,7 @@ def test_best_response_matches_enumeration():
                        for _ in classes]
         weights[rng.randrange(len(weights))] = 0
         dp = sd.best_response(g, classes, weights)
-        enum = sd.max_separation(g, "linear", classes, weights, method="enumerate")
+        enum = sd.max_separation(g, "linear", classes, weights)
         assert dp.score == enum.score, (checked, g.edges, weights)
         counts = sd.count_separated(dp.ordering, pairs, classes)
         assert sum(Fraction(w) * c for w, c in zip(weights, counts)) == dp.score
@@ -296,14 +287,6 @@ def test_circular_sepdim_is_one_matches_apex_planarity():
             first = next(perm for perm, sep in _brute_circular_scan(g) if all(sep))
             assert witness.perm == first
     assert 5 <= outerplanar <= 35
-
-
-def test_workers_match_single_process():
-    g = sd.complete_multipartite(2, 3)
-    for mode in ("linear", "circular"):
-        solo = sd.enumerate_payoffs(g, mode)
-        multi = sd.enumerate_payoffs(g, mode, workers=3)
-        assert solo == multi
 
 
 def test_verify_family_boundary_cycle():
