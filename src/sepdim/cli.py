@@ -36,7 +36,6 @@ from .graphs import (
     random_tree,
 )
 from .separation import (
-    CIRCULAR_ENUM_CAP,
     EnumerationCapExceeded,
     Ordering,
     count_separated,
@@ -135,27 +134,21 @@ def _emit(report: dict, args, rows=None, human_lines=None) -> None:
 def cmd_solve(args) -> int:
     started = time.monotonic()
     g, origin = _load_graph(args.source)
-    cap = args.linear_cap if args.mode == "linear" else args.circular_cap
-    sol = fractional_sepdim(g, args.mode, args.reduction, cap=cap,
-                            pattern_cap=args.pattern_cap)
+    sol = fractional_sepdim(g, args.mode, args.reduction)
     label = "pi_f" if args.mode == "linear" else "pi_f_circ"
+    data = sol.to_json_dict()
     result = {
-        label: _frac_str(sol.pi_f),
-        "game_value": _frac_str(sol.value) if sol.value is not None else None,
+        label: data["pi_f"],
+        "game_value": data["value"],
         "certificate": "exact" if sol.value is not None else "trivial",
-        "primal": [[k, _frac_str(w)] for k, w in sol.primal],
-        "dual": [[k, _frac_str(w)] for k, w in sol.dual],
-        "classes": [
-            {"label": lbl, "size": size}
-            for lbl, size in zip(sol.class_labels, sol.class_sizes)
-        ],
+        **{key: data[key] for key in ("primal", "dual", "classes")},
     }
     report = _report(
         ["solve", args.source], result, graph=_graph_summary(g, origin),
         mode=args.mode, reduction=sol.reduction, started=started,
     )
     human = [
-        f"{label} = {_frac_str(sol.pi_f)}",
+        f"{label} = {data['pi_f']}",
         f"game value = {result['game_value']}  (reduction {sol.reduction}, "
         f"certificate {result['certificate']})",
         f"primal support: {len(sol.primal)} orderings; "
@@ -163,7 +156,7 @@ def cmd_solve(args) -> int:
     ]
     rows = (
         ["metric", "value"],
-        [[label, _frac_str(sol.pi_f)], ["game_value", result["game_value"]],
+        [[label, data["pi_f"]], ["game_value", result["game_value"]],
          ["reduction", sol.reduction], ["certificate", result["certificate"]]],
     )
     _emit(report, args, rows=rows, human_lines=human)
@@ -661,12 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("linear", "circular"), default="linear")
     p.add_argument("--reduction", choices=("auto", "none", "orbits", "patterns"),
                    default="auto")
-    p.add_argument("--linear-cap", type=int, default=None,
-                   help="linear vertex cap of the path that runs (default: 16 "
-                        "for the orbit subset DP, 10 for enumeration)")
-    p.add_argument("--circular-cap", type=int, default=CIRCULAR_ENUM_CAP)
-    p.add_argument("--pattern-cap", type=int, default=None,
-                   help="pattern reduction vertex cap (default 14)")
     add_output_flags(p)
     p.set_defaults(func=cmd_solve)
 

@@ -145,7 +145,7 @@ def evaluate(family: str, params, mode: str = "linear") -> KnownValue | None:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def crosscheck(family: str, params, mode: str = "linear", *, cap=None) -> dict:
+def crosscheck(family: str, params, mode: str = "linear") -> dict:
     """Compare the closed form against the LP and strategy bounds.
 
     PASS requires exact oracle/LP agreement plus bound consistency (the
@@ -167,7 +167,7 @@ def crosscheck(family: str, params, mode: str = "linear", *, cap=None) -> dict:
     }
     g = generate(FamilySpec(family, params))
     try:
-        sol = fractional_sepdim(g, mode, "auto", cap=cap)
+        sol = fractional_sepdim(g, mode, "auto")
     except EnumerationCapExceeded as exc:
         row["status"] = "PARTIAL"
         row["detail"] = str(exc)
@@ -191,7 +191,7 @@ def crosscheck(family: str, params, mode: str = "linear", *, cap=None) -> dict:
             (best,), _ = pattern_payoffs(g, mode, None)[0]
             upper = Fraction(best, npairs)
         elif g.n <= 8:
-            upper = Fraction(max_separation(g, mode, cap=cap).score, npairs)
+            upper = Fraction(max_separation(g, mode).score, npairs)
         if upper is not None and not sol.value <= upper:
             ok = False
             detail.append(f"pair-strategy bound {upper} is below value {sol.value}")

@@ -18,23 +18,28 @@ the pivot path.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graphs import Graph, complete_multipartite, nonincident_pairs
 from .separation import (
+    CIRCULAR_ENUM_CAP,
+    LINEAR_DP_CAP,
+    LINEAR_ENUM_CAP,
     EnumerationCapExceeded,
+    Ordering,
     best_response,
+    check_cap,
     count_separated,
     enumerate_payoffs,
     pareto_filter,
+    sequence_keys,
 )
 from .symmetry import (
     automorphisms,
     multipartite_patterns,
     pair_orbits,
-    pattern_ordering,
+    pattern_sequence,
     signature_classes,
 )
 
@@ -166,9 +171,6 @@ class GameSolution:
         }
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
 
 def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
@@ -242,18 +244,19 @@ def _pair_label(pair) -> str:
 
 
 def pattern_payoffs(g: Graph, mode: str, classes):
-    """Distinct payoff vectors over canonical pattern orderings."""
+    """Pareto-kept payoff rows over the canonical pattern orderings, each
+    with the first pattern's ordering as witness; ``classes`` None means one
+    class of all pairs."""
     pairs = nonincident_pairs(g)
-    found = {}
-    for pat in multipartite_patterns(g, mode):
-        o = pattern_ordering(g, pat, mode)
-        counts = count_separated(o, pairs, classes)
-        if counts not in found:
-            found[counts] = o
-    return pareto_filter(found)
+    if classes is None:
+        classes = [list(range(len(pairs)))]
+    seqs = (pattern_sequence(g, pat) for pat in multipartite_patterns(g, mode))
+    found = sequence_keys(g.n, pairs, classes, mode, seqs)
+    rows = pareto_filter(found, [len(c) for c in classes])
+    return [(counts, Ordering(mode, tuple(seq))) for counts, seq in rows]
 
 
-def _column_generation(g: Graph, pairs, classes, sizes, labels, cap) -> GameSolution:
+def _column_generation(g: Graph, pairs, classes, sizes, labels) -> GameSolution:
     """Solve the linear game over all orderings by column generation.
 
     The restricted master holds the orderings found so far, and
@@ -267,7 +270,7 @@ def _column_generation(g: Graph, pairs, classes, sizes, labels, cap) -> GameSolu
     rows = []
 
     def add_column(weights):
-        best = best_response(g, classes, weights, cap=cap)
+        best = best_response(g, classes, weights)
         counts = count_separated(best.ordering, pairs, classes)
         rows.append((counts, best.ordering.serialize()))
         return best.score
@@ -284,23 +287,24 @@ def _column_generation(g: Graph, pairs, classes, sizes, labels, cap) -> GameSolu
             return sol
 
 
-def fractional_sepdim(g: Graph, mode: str = "linear", reduction: str = "auto",
-                      *, cap=None, pattern_cap=None) -> GameSolution:
+def fractional_sepdim(g: Graph, mode: str = "linear",
+                      reduction: str = "auto") -> GameSolution:
     """Exact fractional (circular) separation dimension with certificate.
 
     Reductions: "none" solves over raw orderings with singleton pair classes;
     "orbits" aggregates pairs per automorphism orbit; "patterns" restricts a
     complete multipartite graph to part-label patterns with signature classes.
     "auto" picks patterns when parts are present, else orbits when the graph
-    has any symmetry, else none.  Disconnected graphs are solved whole: pairs
-    across components are ordinary pairs.
+    has any symmetry or is linear and over ``LINEAR_ENUM_CAP``, else none.
+    Disconnected graphs are solved whole: pairs across components are
+    ordinary pairs.
 
     Linear "orbits" solves by column generation with the subset-DP best
     response, capped at ``LINEAR_DP_CAP`` vertices; the other reductions
-    enumerate payoff vectors under the enumeration caps.  ``cap`` overrides
-    the vertex cap of the DP or enumeration path that runs; a graph over it
-    raises ``EnumerationCapExceeded``.  Each reduction has this one path, run
-    in one process, so the certificate depends on the graph alone.
+    enumerate payoff vectors under the enumeration caps.  A graph over the
+    cap of the path that would run raises ``EnumerationCapExceeded`` before
+    any symmetry search.  Each reduction has this one path, run in one
+    process, so the certificate depends on the graph alone.
     """
     if reduction not in REDUCTIONS:
         raise GameError(f"reduction must be one of {REDUCTIONS}")
@@ -309,28 +313,29 @@ def fractional_sepdim(g: Graph, mode: str = "linear", reduction: str = "auto",
         # Convention: no nonincident pairs means nothing to separate.
         return GameSolution(Fraction(0), None, mode=mode, reduction=reduction)
 
+    if reduction == "auto" and g.parts is not None:
+        reduction = "patterns"
+    if reduction == "patterns" and g.parts is None:
+        raise GameError("pattern reduction requires a complete multipartite graph with parts")
+    # The cap of the path that will run, checked before any symmetry search.
+    if reduction == "patterns":
+        check_cap("pattern reduction", g.n, PATTERN_N_CAP)
+    elif mode == "circular":
+        check_cap("circular enumeration", g.n, CIRCULAR_ENUM_CAP)
+    elif reduction == "none":
+        check_cap("linear enumeration", g.n, LINEAR_ENUM_CAP)
+    else:
+        check_cap("linear subset DP", g.n, LINEAR_DP_CAP)
+
     aut = None
     if reduction == "auto":
-        if g.parts is not None:
-            reduction = "patterns"
-        else:
-            aut = automorphisms(g)
-            reduction = "orbits" if aut.order > 1 else "none"
+        aut = automorphisms(g)
+        linear_over_enum = mode == "linear" and g.n > LINEAR_ENUM_CAP
+        reduction = "orbits" if aut.order > 1 or linear_over_enum else "none"
 
     if reduction == "patterns":
-        if g.parts is None:
-            raise GameError(
-                "pattern reduction requires a complete multipartite graph with parts"
-            )
-        limit = PATTERN_N_CAP if pattern_cap is None else pattern_cap
-        if g.n > limit:
-            raise EnumerationCapExceeded(
-                f"pattern reduction is capped at n <= {limit} (n={g.n})"
-            )
         classes, labels = signature_classes(g)
-        rows = [
-            (counts, o.serialize()) for counts, o in pattern_payoffs(g, mode, classes)
-        ]
+        rows = pattern_payoffs(g, mode, classes)
         sizes = [len(c) for c in classes]
     elif reduction == "orbits":
         if aut is None:
@@ -343,19 +348,13 @@ def fractional_sepdim(g: Graph, mode: str = "linear", reduction: str = "auto",
         ]
         sizes = orbits.sizes
         if mode == "linear":
-            return _column_generation(g, pairs, classes, sizes, labels, cap)
-        rows = [
-            (counts, o.serialize())
-            for counts, o in enumerate_payoffs(g, mode, classes, cap=cap)
-        ]
+            return _column_generation(g, pairs, classes, sizes, labels)
+        rows = enumerate_payoffs(g, mode, classes)
     else:
-        classes = [[i] for i in range(len(pairs))]
         labels = [_pair_label(p) for p in pairs]
         sizes = [1] * len(pairs)
-        rows = [
-            (counts, o.serialize())
-            for counts, o in enumerate_payoffs(g, mode, classes, cap=cap)
-        ]
+        rows = enumerate_payoffs(g, mode, [[i] for i in range(len(pairs))])
+    rows = [(counts, o.serialize()) for counts, o in rows]
     return solve_game(rows, sizes, labels, mode=mode, reduction=reduction)
 
 

@@ -1,14 +1,17 @@
-"""Separation predicates, payoff enumeration, the exact linear best response,
-and covering checks.  Every search here is exact and runs in one process.
+"""Separation predicates, payoff rows, the exact linear best response, and
+covering checks.  Every search here is exact and runs in one process.
 
 Linear separation: both endpoints of one edge precede both endpoints of the
 other.  Circular separation: the four endpoints do not alternate around the
-circle.  Linear enumeration works in "position space": iterating over all
-maps vertex -> position visits every ordering, and lets the inner loop index
-positions directly.  Reversal duplicates are skipped; every separation verdict
-is reversal-invariant, so payoff sets and maxima are unchanged.  Circular
-enumeration collects alternation bitmasks, which are XORs over the ordered
-vertex pairs and split at a prefix (``_CircularSplit``).
+circle.  Every payoff-row source maps a packed per-class *miss* key to the
+first ordering that reaches it; a miss is an unseparated pair (linear) or an
+alternating pair (circular).  A key holds one little-endian field of
+``_field_bytes(sizes)`` bytes per class, with a spare top bit, and
+``pareto_filter`` turns keys into rows.  The linear kernel (``_linear_scan``)
+indexes position maps directly; enumeration visits one map per reversal pair,
+as every verdict is reversal-invariant.  The circular kernel keys alternation
+bitmasks, which are XORs over the ordered vertex pairs and split at a prefix
+(``_CircularSplit``).
 """
 
 from __future__ import annotations
@@ -65,10 +68,7 @@ class Ordering:
         return len(self.perm)
 
     def positions(self) -> list[int]:
-        pos = [0] * len(self.perm)
-        for i, v in enumerate(self.perm):
-            pos[v] = i
-        return pos
+        return _positions(self.perm)
 
     def reversed(self) -> "Ordering":
         return Ordering(self.mode, tuple(reversed(self.perm)))
@@ -137,7 +137,7 @@ def count_separated(ordering: Ordering, pairs, classes=None) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Enumeration internals
+# Payoff rows: miss keys, the two kernels and the Pareto step
 # ---------------------------------------------------------------------------
 
 def _pair_specs(pairs, classes):
@@ -158,57 +158,71 @@ def _singleton_classes(npairs):
     return [[i] for i in range(npairs)]
 
 
-def _linear_scan(n, specs, nclasses):
-    """Collect distinct payoff vectors over linear orderings.
+def _field_bytes(sizes):
+    """Bytes per class field of a miss key: the largest class size plus a
+    spare top bit."""
+    return (max(sizes, default=0).bit_length() + 8) // 8
 
-    Enumerates position maps; keeps the lexicographically-least witness map
-    per vector.  Exactly one of each reversal pair is visited: the reversed
+
+def _misses(key, nclasses, w):
+    """Per-class miss counts of a key with ``w``-byte fields."""
+    raw = key.to_bytes(w * nclasses, "little")
+    if w == 1:
+        return raw
+    return [int.from_bytes(raw[i:i + w], "little") for i in range(0, len(raw), w)]
+
+
+def _key_counts(key, sizes, w):
+    """Per-class separated counts of a miss key."""
+    return tuple(size - m for size, m in zip(sizes, _misses(key, len(sizes), w)))
+
+
+def _reversal_half(n):
+    """One position map of each reversal pair, in lex order.  The reversed
     ordering has position map n-1-q, so q[0] (with a q[1] tiebreak for the
-    odd-n center) decides which copy survives.
-    """
+    odd-n center) decides which copy is kept."""
     half = n - 1
-    found = {}
-    if nclasses == len(specs):
-        # Payoff vectors are 0/1 here; accumulate them as bitmasks.
-        bits = [(a, b, c, d, 1 << k) for a, b, c, d, k in specs]
-        for q in permutations(range(n)):
-            d0 = 2 * q[0] - half
-            if d0 > 0 or (d0 == 0 and 2 * q[1] > half):
-                continue
-            mask = 0
-            for a, b, c, d, bit in bits:
-                pa = q[a]; pb = q[b]
-                if pa > pb:
-                    pa, pb = pb, pa
-                pc = q[c]; pd = q[d]
-                if pc > pd:
-                    pc, pd = pd, pc
-                if pb < pc or pd < pa:
-                    mask |= bit
-            if mask not in found:
-                found[mask] = q
-        return {
-            tuple((m >> i) & 1 for i in range(nclasses)): q
-            for m, q in found.items()
-        }
     for q in permutations(range(n)):
         d0 = 2 * q[0] - half
-        if d0 > 0 or (d0 == 0 and 2 * q[1] > half):
-            continue
-        counts = [0] * nclasses
-        for a, b, c, d, k in specs:
+        if d0 < 0 or (d0 == 0 and 2 * q[1] < half):
+            yield q
+
+
+def _linear_scan(maps, pairs, classes):
+    """The first position map of ``maps`` per miss key: the linear kernel.
+
+    A pair is missed unless both endpoints of one edge precede both of the
+    other's; a miss of class k adds ``1 << 8 * w * k`` to the key.
+    """
+    w = _field_bytes([len(c) for c in classes])
+    specs = [(a, b, c, d, 1 << (8 * w * k))
+             for a, b, c, d, k in _pair_specs(pairs, classes)]
+    found = {}
+    for q in maps:
+        key = 0
+        for a, b, c, d, unit in specs:
             pa = q[a]; pb = q[b]
             if pa > pb:
                 pa, pb = pb, pa
             pc = q[c]; pd = q[d]
             if pc > pd:
                 pc, pd = pd, pc
-            if pb < pc or pd < pa:
-                counts[k] += 1
-        key = tuple(counts)
+            if pc < pb and pa < pd:
+                key += unit
         if key not in found:
             found[key] = q
     return found
+
+
+def _cross(n, pairs):
+    """Bitmasks ``cross[x][y]`` of the pairs with x in the first edge and y
+    in the second."""
+    cross = [[0] * n for _ in range(n)]
+    for i, ((a, b), (c, d)) in enumerate(pairs):
+        for x in (a, b):
+            for y in (c, d):
+                cross[x][y] |= 1 << i
+    return cross
 
 
 def _within(seq, cross):
@@ -221,15 +235,63 @@ def _within(seq, cross):
     return mask
 
 
+def _mask_keys(masks, classes, npairs):
+    """Miss keys of alternation masks: the circular kernel's key step.
+
+    A popcount per class or, when classes outnumber the mask's bytes, 8-bit
+    lookup tables that sum the units of each byte's set bits.
+    """
+    w = _field_bytes([len(c) for c in classes])
+    nbytes = (npairs + 7) // 8
+    if len(classes) <= nbytes:
+        keys = [0] * len(masks)
+        for k, c in enumerate(classes):
+            bits = sum(1 << i for i in c)
+            shift = 8 * w * k
+            keys = [x + ((m & bits).bit_count() << shift) for x, m in zip(keys, masks)]
+        return keys
+    unit = [0] * npairs
+    for k, c in enumerate(classes):
+        for i in c:
+            unit[i] = 1 << (8 * w * k)
+    tables = []
+    for j in range(nbytes):
+        table = [0] * 256
+        for b in range(1, 256):
+            i = 8 * j + (b & -b).bit_length() - 1
+            table[b] = table[b & (b - 1)] + (unit[i] if i < npairs else 0)
+        tables.append(table)
+    at = list.__getitem__
+    return [sum(map(at, tables, m.to_bytes(nbytes, "little"))) for m in masks]
+
+
+def sequence_keys(n, pairs, classes, mode, seqs):
+    """The first vertex sequence of ``seqs`` per miss key, in either mode.
+
+    Streams ``seqs`` (the pattern orderings of a multipartite graph, say):
+    only each key's first sequence is kept.
+    """
+    if mode == "linear":
+        found = _linear_scan(map(_positions, seqs), pairs, classes)
+        return {key: _positions(q) for key, q in found.items()}
+    cross = _cross(n, pairs)
+    first = {}  # alternation mask -> its first sequence, in stream order
+    for s in seqs:
+        first.setdefault(_within(s, cross), s)
+    found = {}
+    for key, s in zip(_mask_keys(list(first), classes, len(pairs)), first.values()):
+        found.setdefault(key, s)
+    return found
+
+
 class _CircularSplit:
     """Alternation masks of every circular ordering, by a prefix split.
 
     Fix vertex 0 first and read positions linearly.  Chords ab and cd
     alternate iff [a<c] ^ [a<d] ^ [b<c] ^ [b<d], where [x<y] means x comes
     before y, so an ordering's alternation mask (bit i set when pair i
-    alternates) is the XOR of ``cross[x][y]`` over every x placed before y;
-    ``cross[x][y]`` holds the pairs with x in the first edge and y in the
-    second.  Write the ordering as 0.P.Q, where P arranges a set S of
+    alternates) is the XOR of ``cross[x][y]`` over every x placed before y
+    (``_within``).  Write the ordering as 0.P.Q, where P arranges a set S of
     k = (n-1)//2 vertices and Q arranges the rest R.  Then the mask is
     W(0.P) ^ W(Q) ^ X(S): the within-sequence XORs, plus the XOR of
     ``cross[x][y]`` over x in {0} + S and y in R.  Reversal keeps
@@ -238,11 +300,7 @@ class _CircularSplit:
     """
 
     def __init__(self, n, pairs):
-        cross = [[0] * n for _ in range(n)]
-        for i, ((a, b), (c, d)) in enumerate(pairs):
-            for x in (a, b):
-                for y in (c, d):
-                    cross[x][y] |= 1 << i
+        cross = _cross(n, pairs)
         self.n = n
         self.k = (n - 1) // 2
         self.head = {}    # P -> W(0.P) ^ X(S)
@@ -303,63 +361,15 @@ class _CircularSplit:
 def _circular_payoffs(n, pairs, classes, pareto):
     """Payoff rows over circular orderings from the split's masks.
 
-    Each distinct mask maps to a key: its per-class alternation counts,
-    packed into one int with a field of ``w`` bytes per class and a spare
-    top bit, by a popcount per class or, when classes outnumber the mask's
-    bytes, by 8-bit lookup tables.  With ``pareto`` the rows are those
-    ``pareto_filter`` keeps, in its order, found on the keys; without it,
-    every distinct vector in sorted order.  Only the rows get witnesses.
+    The rows come from the masks' miss keys; only the rows get witnesses,
+    found by the split from the masks of each row's key.
     """
     split = _CircularSplit(n, pairs)
     masks = list(split.masks())
+    keys = _mask_keys(masks, classes, len(pairs))
+    found = dict(zip(keys, keys))
     sizes = [len(c) for c in classes]
-    w = (max(sizes).bit_length() + 8) // 8
-    nbytes = (len(pairs) + 7) // 8
-    if len(classes) <= nbytes:
-        keys = [0] * len(masks)
-        for k, c in enumerate(classes):
-            bits = sum(1 << i for i in c)
-            shift = 8 * w * k
-            keys = [x + ((m & bits).bit_count() << shift) for x, m in zip(keys, masks)]
-    else:
-        unit = [0] * len(pairs)
-        for k, c in enumerate(classes):
-            for i in c:
-                unit[i] = 1 << (8 * w * k)
-        tables = []
-        for j in range(nbytes):
-            table = [0] * 256
-            for b in range(1, 256):
-                i = 8 * j + (b & -b).bit_length() - 1
-                table[b] = table[b & (b - 1)] + (unit[i] if i < len(pairs) else 0)
-            tables.append(table)
-        at = list.__getitem__
-        keys = [sum(map(at, tables, m.to_bytes(nbytes, "little"))) for m in masks]
-
-    def fields(key):
-        raw = key.to_bytes(w * len(sizes), "little")
-        if w == 1:
-            return tuple(raw)
-        return tuple(int.from_bytes(raw[i:i + w], "little")
-                     for i in range(0, len(raw), w))
-
-    distinct = set(keys)
-    if pareto:
-        # Drop keys that another key beats or ties in every class, before
-        # any count vector is built.  A key b beats a iff a - b has no
-        # borrow in any field, which the spare top bits show at once; in
-        # order of total alternations every such b comes before a.
-        guard = sum(1 << (8 * w * (k + 1) - 1) for k in range(len(sizes)))
-        front = []
-        for a in sorted(distinct, key=lambda key: sum(fields(key))):
-            if all((a | guard) - b & guard != guard for b in front):
-                front.append(a)
-        distinct = front
-    found = {
-        tuple(size - c for size, c in zip(sizes, fields(key))): key
-        for key in distinct
-    }
-    rows = sorted(found.items(), key=_pareto_order if pareto else None)
+    rows = pareto_filter(found, sizes) if pareto else _key_rows(found, sizes)
     wanted = {key: [] for _, key in rows}
     for m, key in zip(masks, keys):
         if key in wanted:
@@ -368,69 +378,81 @@ def _circular_payoffs(n, pairs, classes, pareto):
     return [(counts, Ordering("circular", perms[key])) for counts, key in rows]
 
 
+def _key_rows(found, sizes):
+    """Every (counts, witness) row of ``found``, sorted by counts."""
+    w = _field_bytes(sizes)
+    return sorted((_key_counts(key, sizes, w), witness) for key, witness in found.items())
+
+
+def pareto_filter(found, sizes):
+    """The Pareto-kept (counts, witness) rows of ``found``, which maps each
+    miss key to its witness; ``sizes`` are the class sizes.
+
+    A row is dropped when another row separates at least as many pairs in
+    every class: it never helps the maximizing ordering player, so the game
+    value is kept.  Key b beats or ties key a iff a - b borrows in no field,
+    which the spare top bits show in one subtraction; in order of total
+    misses every such b comes before a.  Rows come larger totals first, then
+    by counts.
+    """
+    w = _field_bytes(sizes)
+    guard = sum(1 << (8 * w * (k + 1) - 1) for k in range(len(sizes)))
+    front = []
+    for a in sorted(found, key=lambda key: sum(_misses(key, len(sizes), w))):
+        if all((a | guard) - b & guard != guard for b in front):
+            front.append(a)
+    rows = [(_key_counts(a, sizes, w), found[a]) for a in front]
+    return sorted(rows, key=_pareto_order)
+
+
 def _pareto_order(row):
     """Row order of ``pareto_filter``: larger totals first, then by counts."""
     return (-sum(row[0]), row[0])
 
 
-def pareto_filter(rows):
-    """Drop payoff vectors dominated coordinatewise by another.
-
-    ``rows`` maps counts -> witness; dominated rows never help the maximizing
-    ordering player, so removing them keeps the game value.
-    """
-    items = sorted(rows.items(), key=_pareto_order)
-    kept = []
-    for counts, witness in items:
-        if any(all(kc >= c for kc, c in zip(k, counts)) for k, _ in kept):
-            continue
-        kept.append((counts, witness))
-    return kept
-
-
-def _check_cap(mode, n, cap):
-    if cap is None:
-        cap = LINEAR_ENUM_CAP if mode == "linear" else CIRCULAR_ENUM_CAP
-    if n > cap:
+def check_cap(what, n, limit):
+    """Refuse a graph over the vertex cap of the path that would run."""
+    if n > limit:
         raise EnumerationCapExceeded(
-            f"{mode} enumeration is capped at n <= {cap} (graph has n={n}); "
-            "raise the cap or use a stronger reduction"
+            f"{what} is capped at n <= {limit} (graph has n={n})"
         )
 
 
-def _pos_to_ordering(q):
-    perm = [0] * len(q)
-    for v, p in enumerate(q):
-        perm[p] = v
-    return Ordering("linear", tuple(perm))
+def _positions(perm):
+    """Position map of a vertex sequence; it is also the sequence of a
+    position map."""
+    pos = [0] * len(perm)
+    for i, v in enumerate(perm):
+        pos[v] = i
+    return pos
 
 
-def enumerate_payoffs(g: Graph, mode: str, classes=None, *, pareto=True,
-                      cap=None):
+def enumerate_payoffs(g: Graph, mode: str, classes=None, *, pareto=True):
     """Distinct payoff vectors achieved by any ordering of the given mode.
 
     Returns a list of (counts, witness Ordering), deduplicated and (by
     default) Pareto-filtered, deterministically ordered; each witness is the
-    least ordering with its vector.  Linear mode scans position maps
-    (``_linear_scan``), circular mode runs the XOR-split kernel
-    (``_CircularSplit``).
+    least ordering with its vector.  Linear mode scans the position maps of
+    one ordering per reversal pair (``_linear_scan``), circular mode runs
+    the XOR-split kernel (``_CircularSplit``).
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
-    _check_cap(mode, g.n, cap)
+    check_cap(f"{mode} enumeration", g.n,
+              LINEAR_ENUM_CAP if mode == "linear" else CIRCULAR_ENUM_CAP)
     pairs = nonincident_pairs(g)
     if classes is None:
         classes = _singleton_classes(len(pairs))
-    nclasses = len(classes)
     if not pairs:
         trivial = Ordering(mode, tuple(range(g.n)))
-        return [((0,) * nclasses, trivial)]
-    specs = _pair_specs(pairs, classes)
+        return [((0,) * len(classes), trivial)]
+    _pair_specs(pairs, classes)  # raises unless ``classes`` partition the pairs
     if mode == "circular":
         return _circular_payoffs(g.n, pairs, classes, pareto)
-    found = _linear_scan(g.n, specs, nclasses)
-    rows = pareto_filter(found) if pareto else sorted(found.items())
-    return [(counts, _pos_to_ordering(q)) for counts, q in rows]
+    found = _linear_scan(_reversal_half(g.n), pairs, classes)
+    sizes = [len(c) for c in classes]
+    rows = pareto_filter(found, sizes) if pareto else _key_rows(found, sizes)
+    return [(counts, Ordering("linear", tuple(_positions(q)))) for counts, q in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -443,8 +465,7 @@ class MaxSeparation:
     ordering: Ordering
 
 
-def max_separation(g: Graph, mode: str, classes=None, weights=None, *,
-                   cap=None) -> MaxSeparation:
+def max_separation(g: Graph, mode: str, classes=None, weights=None) -> MaxSeparation:
     """Maximize the weighted per-class separated counts over orderings.
 
     Exhaustive within the enumeration caps: the best payoff row of
@@ -461,7 +482,7 @@ def max_separation(g: Graph, mode: str, classes=None, weights=None, *,
         return MaxSeparation(Fraction(0), Ordering(mode, tuple(range(g.n))))
     # Pareto filtering is only sound for nonnegative weights.
     keep_pareto = all(w >= 0 for w in weights)
-    rows = enumerate_payoffs(g, mode, classes, pareto=keep_pareto, cap=cap)
+    rows = enumerate_payoffs(g, mode, classes, pareto=keep_pareto)
     best = None
     for counts, ordering in rows:
         score = sum(w * c for w, c in zip(weights, counts))
@@ -470,7 +491,7 @@ def max_separation(g: Graph, mode: str, classes=None, weights=None, *,
     return MaxSeparation(best[0], best[1])
 
 
-def best_response(g: Graph, classes, weights, *, cap=None) -> MaxSeparation:
+def best_response(g: Graph, classes, weights) -> MaxSeparation:
     """Exact maximum of the weighted linear separation count, by a subset DP.
 
     ``weights[k]`` scores every separated pair of class k, as in
@@ -482,11 +503,7 @@ def best_response(g: Graph, classes, weights, *, cap=None) -> MaxSeparation:
     score is re-checked against a recount of the witness ordering.
     """
     n = g.n
-    limit = LINEAR_DP_CAP if cap is None else cap
-    if n > limit:
-        raise EnumerationCapExceeded(
-            f"linear subset DP is capped at n <= {limit} (graph has n={n})"
-        )
+    check_cap("linear subset DP", n, LINEAR_DP_CAP)
     pairs = nonincident_pairs(g)
     weights = [Fraction(w) for w in weights]
     if not pairs:
@@ -578,7 +595,7 @@ def verify_separating_family(g: Graph, orderings, t: int = 1):
     return (not deficiencies), deficiencies
 
 
-def circular_sepdim_is_one(g: Graph, cap=None):
+def circular_sepdim_is_one(g: Graph):
     """Whether one circular ordering separates every pair (outerplanarity):
     whether 0 is among the alternation masks.
 
@@ -588,42 +605,31 @@ def circular_sepdim_is_one(g: Graph, cap=None):
     pairs = nonincident_pairs(g)
     if not pairs:
         return True, Ordering("circular", tuple(range(g.n)))
-    _check_cap("circular", g.n, cap)
+    check_cap("circular enumeration", g.n, CIRCULAR_ENUM_CAP)
     split = _CircularSplit(g.n, pairs)
     if 0 not in split.masks():
         return False, None
     return True, Ordering("circular", split.witnesses({0: [0]})[0])
 
 
-def _separation_masks(g: Graph, mode: str, cap):
-    """Distinct separation sets over all orderings, as pair-index bitmasks."""
-    _check_cap(mode, g.n, cap)
-    pairs = nonincident_pairs(g)
-    if mode == "circular":
-        full = (1 << len(pairs)) - 1
-        return pairs, {full ^ m for m in _CircularSplit(g.n, pairs).masks()}
-    specs = _pair_specs(pairs, _singleton_classes(len(pairs)))
-    found = _linear_scan(g.n, specs, len(pairs))
-    masks = {sum(1 << i for i, c in enumerate(counts) if c) for counts in found}
-    return pairs, masks
-
-
-def integer_sepdim(g: Graph, mode: str = "linear", t: int = 1, cap=None) -> int:
+def integer_sepdim(g: Graph, mode: str = "linear", t: int = 1) -> int:
     """Exact minimum multiset of orderings separating every pair >= t times.
 
-    Branch and bound over the distinct separation sets; masks that are
-    subsets of another are dropped (a superset is never worse).
+    Branch and bound over the inclusion-maximal separation sets (a superset
+    is never worse): on 0/1 vectors these are exactly the Pareto-kept rows
+    of ``enumerate_payoffs`` over singleton classes.
     """
     if t < 1:
         raise ValueError("t must be a positive integer")
-    if cap is None:
-        cap = INTEGER_LINEAR_CAP if mode == "linear" else INTEGER_CIRCULAR_CAP
     pairs = nonincident_pairs(g)
     if not pairs:
         return 0
-    _, masks = _separation_masks(g, mode, cap)
-    masks = sorted(masks)
-    maximal = [m for m in masks if not any(m != o and m & ~o == 0 for o in masks)]
+    check_cap(f"integer {mode} cover", g.n,
+              INTEGER_LINEAR_CAP if mode == "linear" else INTEGER_CIRCULAR_CAP)
+    maximal = sorted(
+        sum(1 << i for i, c in enumerate(counts) if c)
+        for counts, _ in enumerate_payoffs(g, mode)
+    )
     npairs = len(pairs)
     covering = [[m for m in maximal if (m >> i) & 1] for i in range(npairs)]
     if any(not c for c in covering):

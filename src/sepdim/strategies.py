@@ -619,15 +619,14 @@ def pair_player_strategy(g: Graph, kind: str, pair_indices=None) -> PairStrategy
     raise StrategyError(f"unknown pair strategy kind {kind!r}")
 
 
-def pair_strategy_value_bound(g: Graph, mode: str, strategy: PairStrategy,
-                              *, cap=None) -> Fraction:
+def pair_strategy_value_bound(g: Graph, mode: str, strategy: PairStrategy) -> Fraction:
     """Exact upper bound on the game value: the maximum over orderings of the
     probability that the strategy's pair is separated."""
     pairs = nonincident_pairs(g)
     weight_of = dict(strategy.weights)
     classes = [[i] for i in range(len(pairs))]
     weights = [weight_of.get(i, Fraction(0)) for i in range(len(pairs))]
-    result = max_separation(g, mode, classes, weights, cap=cap)
+    result = max_separation(g, mode, classes, weights)
     return result.score
 
 

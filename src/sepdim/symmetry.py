@@ -270,12 +270,16 @@ def multipartite_patterns(g: Graph, mode: str = "linear"):
     return sorted(canon)
 
 
-def pattern_ordering(g: Graph, pattern, mode: str = "linear") -> Ordering:
-    """Canonical ordering for a pattern: within each part, vertices are used
-    in increasing label order."""
+def pattern_sequence(g: Graph, pattern) -> tuple[int, ...]:
+    """Canonical vertex sequence for a pattern: within each part, vertices
+    are used in increasing label order."""
     iters = [iter(p) for p in g.parts]
-    perm = tuple(next(iters[lbl]) for lbl in pattern)
-    return Ordering(mode, perm)
+    return tuple(next(iters[lbl]) for lbl in pattern)
+
+
+def pattern_ordering(g: Graph, pattern, mode: str = "linear") -> Ordering:
+    """Canonical ordering for a pattern (``pattern_sequence``)."""
+    return Ordering(mode, pattern_sequence(g, pattern))
 
 
 def signature_classes(g: Graph):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import sepdim as sd
 from sepdim.cli import main
 
 
@@ -79,6 +80,35 @@ def test_solve_cap_refusal(capsys):
     assert result["certificate"] == "exact"
 
 
+def test_solve_cap_checked_before_symmetry_search(capsys):
+    # K_11 has 11! automorphisms, over the symmetry search's cap; the
+    # circular enumeration cap refuses it before that search starts.
+    code, _, err = run_cli(capsys, "solve", "Kn:11", "--mode", "circular")
+    assert code == 1
+    assert "circular enumeration is capped at n <= 10 (graph has n=11)" in err
+    assert "automorphism" not in err
+
+
+# An asymmetric connected 11-vertex graph: the first connected graph with a
+# trivial automorphism group among G(11, 0.3) draws from random.Random(3).
+ASYMMETRIC_11 = ((0, 1), (0, 7), (0, 10), (1, 2), (1, 5), (1, 8), (1, 9), (2, 4),
+                 (2, 6), (3, 7), (3, 9), (3, 10), (4, 7), (4, 8), (8, 10))
+
+
+def test_solve_auto_asymmetric_linear_over_enumeration_cap(tmp_path, capsys):
+    path = tmp_path / "asym11.edges"
+    path.write_text("".join(f"{u} {v}\n" for u, v in ASYMMETRIC_11))
+    g = sd.parse_graph(path.read_text())
+    assert sd.automorphisms(g).order == 1 and len(sd.nonincident_pairs(g)) == 73
+    code, out, _ = run_cli(capsys, "solve", "@" + str(path), "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["reduction"] == "orbits"
+    assert report["result"]["pi_f"] == "2"
+    assert report["result"]["certificate"] == "exact"
+    assert len(report["result"]["classes"]) == 73
+
+
 def test_solve_json_byte_stable_column_generation(capsys):
     runs = []
     for _ in range(2):
@@ -99,10 +129,13 @@ def test_solve_bad_family(capsys):
 
 
 @pytest.mark.parametrize("flag", [["--threads", "2"], ["--i-have-time"],
-                                  ["--budget", "1"]],
-                         ids=["threads", "i-have-time", "budget"])
+                                  ["--budget", "1"], ["--linear-cap", "8"],
+                                  ["--circular-cap", "8"], ["--pattern-cap", "8"]],
+                         ids=["threads", "i-have-time", "budget", "linear-cap",
+                              "circular-cap", "pattern-cap"])
 def test_solve_retired_flags_rejected(capsys, flag):
-    # One deterministic solve path: no worker count, no timed search.
+    # One deterministic solve path: no worker count, no timed search, and
+    # the vertex caps are constants.
     with pytest.raises(SystemExit) as exc:
         main(["solve", "C:5", *flag])
     assert exc.value.code == 2

@@ -113,10 +113,10 @@ def test_crosscheck_partial_on_capped_instance():
     row = crosscheck("heawood", (), "linear")
     assert row["status"] == "PASS"
     assert row["oracle"] == row["lp"] == "28/17"
-    row = crosscheck("petersen", (), "linear", cap=8)
+    row = crosscheck("heawood", (), "circular")
     assert row["status"] == "PARTIAL"
-    assert row["oracle"] == "30/17"
-    assert "capped" in row["detail"]
+    assert row["lp"] is None
+    assert "circular enumeration is capped at n <= 10" in row["detail"]
 
 
 def test_crosscheck_lp_only_for_unknown():

@@ -357,3 +357,41 @@ def test_simplex_pivot_path_property():
 def test_solve_game_unbounded():
     with pytest.raises(LPUnbounded):
         solve_game([((0, 1), "r")], [1, 1])
+
+
+def _reference_pattern_rows(g, mode, classes):
+    # The per-pattern path: count_separated on each pattern ordering, the
+    # first ordering per vector as witness, then the tuple Pareto filter.
+    pairs = sd.nonincident_pairs(g)
+    found = {}
+    for pat in sd.multipartite_patterns(g, mode):
+        o = sd.pattern_ordering(g, pat, mode)
+        found.setdefault(sd.count_separated(o, pairs, classes), o)
+    kept = []
+    for counts, o in sorted(found.items(), key=lambda r: (-sum(r[0]), r[0])):
+        if not any(all(k >= c for k, c in zip(other, counts)) for other, _ in kept):
+            kept.append((counts, o))
+    return [(c, o.perm) for c, o in kept]
+
+
+def test_pattern_rows_match_per_pattern_counts():
+    # Every bipartite and tripartite shape with n <= 9.
+    shapes = [(a, n - a) for n in range(2, 10) for a in range(1, n // 2 + 1)] + [
+        (a, b, n - a - b)
+        for n in range(3, 10)
+        for a in range(1, n // 3 + 1)
+        for b in range(a, (n - a) // 2 + 1)
+    ]
+    checked = 0
+    for shape in shapes:
+        g = sd.complete_multipartite(*shape)
+        if not sd.nonincident_pairs(g):
+            continue
+        classes, _ = sd.signature_classes(g)
+        for mode in ("linear", "circular"):
+            for cls in (classes, None):
+                got = game.pattern_payoffs(g, mode, cls)
+                assert [(c, o.perm) for c, o in got] == \
+                    _reference_pattern_rows(g, mode, cls), (shape, mode, cls is None)
+        checked += 1
+    assert checked >= 25

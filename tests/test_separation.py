@@ -169,10 +169,52 @@ def test_best_response_matches_enumeration():
 
 
 def test_best_response_cap():
-    for g, cap, limit in ((sd.cycle(17), None, 16), (sd.heawood(), 12, 12)):
-        one_class = [list(range(len(sd.nonincident_pairs(g))))]
-        with pytest.raises(EnumerationCapExceeded, match=f"n <= {limit}"):
-            sd.best_response(g, one_class, [1], cap=cap)
+    g = sd.cycle(17)
+    one_class = [list(range(len(sd.nonincident_pairs(g))))]
+    with pytest.raises(EnumerationCapExceeded, match="n <= 16"):
+        sd.best_response(g, one_class, [1])
+
+
+def _raw_linear_separated(pos, pair):
+    # Independent test: one edge lies wholly before the other.
+    (a, b), (c, d) = pair
+    return max(pos[a], pos[b]) < min(pos[c], pos[d]) or \
+        max(pos[c], pos[d]) < min(pos[a], pos[b])
+
+
+def _brute_linear_scan(g):
+    # One ordering per reversal pair: the one whose position map is
+    # lexicographically smaller than its reversal's, in lex order of position
+    # maps, with its separated pairs by the raw predicate.
+    pairs = sd.nonincident_pairs(g)
+    n = g.n
+    out = []
+    for pos in permutations(range(n)):
+        if pos < tuple(n - 1 - x for x in pos):
+            perm = tuple(sorted(range(n), key=pos.__getitem__))
+            out.append((perm, [_raw_linear_separated(pos, p) for p in pairs]))
+    return out
+
+
+def test_linear_kernel_matches_brute_force():
+    # Rows and witnesses of the linear kernel against a lexicographic scan
+    # with the raw separation predicate, with and without the Pareto filter.
+    rng = random.Random(31415)
+    checked = 0
+    while checked < 24:
+        n = rng.randrange(4, 8)
+        g = random_graph(n, rng.choice((0.3, 0.5, 0.7)), rng)
+        if not sd.nonincident_pairs(g):
+            continue
+        scan = _brute_linear_scan(g)
+        choices = _class_choices(g, rng)
+        names = ["one", "three"] if n == 7 else sorted(choices)
+        for name in names:
+            for pareto in (True, False):
+                got = sd.enumerate_payoffs(g, "linear", choices[name], pareto=pareto)
+                want = _brute_rows(scan, choices[name], pareto)
+                assert [(c, o.perm) for c, o in got] == want, (g.edges, name, pareto)
+        checked += 1
 
 
 def test_enumeration_cap():
@@ -193,8 +235,8 @@ def _brute_circular_scan(g):
     return out
 
 
-def _brute_circular_rows(scan, classes, pareto):
-    # The first ordering per vector is its witness.
+def _brute_rows(scan, classes, pareto):
+    # The first ordering of the scan per vector is its witness.
     found = {}
     for perm, sep in scan:
         found.setdefault(tuple(sum(sep[i] for i in c) for c in classes), perm)
@@ -238,7 +280,7 @@ def test_circular_kernel_matches_brute_force():
         for name in names:
             for pareto in (True, False):
                 got = sd.enumerate_payoffs(g, "circular", choices[name], pareto=pareto)
-                want = _brute_circular_rows(scan, choices[name], pareto)
+                want = _brute_rows(scan, choices[name], pareto)
                 assert [(c, o.perm) for c, o in got] == want, (g.edges, name, pareto)
         checked += 1
 
@@ -261,7 +303,7 @@ def test_circular_kernel_property():
         classes = _labelled_classes(labels)
         pareto = data.draw(st.booleans(), label="pareto")
         got = sd.enumerate_payoffs(g, "circular", classes, pareto=pareto)
-        want = _brute_circular_rows(_brute_circular_scan(g), classes, pareto)
+        want = _brute_rows(_brute_circular_scan(g), classes, pareto)
         assert [(c, o.perm) for c, o in got] == want
 
     check()
