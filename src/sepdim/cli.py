@@ -531,9 +531,14 @@ def cmd_scan(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _parse_beta(text: str):
-    if "/" in text:
-        return Fraction(text)
-    value = float(text)
+    """An exact fraction for "p/q" or a whole number, else a float; a value
+    outside [0, 1] is not a probability and is refused."""
+    try:
+        value = Fraction(text) if "/" in text else float(text)
+    except (ValueError, ZeroDivisionError):
+        value = None
+    if value is None or not 0 <= value <= 1:
+        raise ValueError(f"--beta must be a probability in [0, 1], got {text!r}")
     if value == int(value):
         return Fraction(int(value))
     return value
@@ -550,11 +555,15 @@ def _load_tree(args):
 
 def cmd_tree(args) -> int:
     started = time.monotonic()
+    if args.samples < 1:
+        print(f"error: --samples must be at least 1, got {args.samples}",
+              file=sys.stderr)
+        return 1
+    beta = _parse_beta(args.beta)
     g, origin = _load_tree(args)
     if not is_tree(g):
         print("error: tree command needs a tree input", file=sys.stderr)
         return 1
-    beta = _parse_beta(args.beta)
     if args.root is not None and not 0 <= args.root < g.n:
         print(f"error: root {args.root} out of range for n={g.n}", file=sys.stderr)
         return 1

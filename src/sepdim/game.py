@@ -343,8 +343,8 @@ def fractional_sepdim(g: Graph, mode: str = "linear",
         orbits = pair_orbits(g, aut)
         classes = orbits.classes
         labels = [
-            f"orbit[{_pair_label(orbits.pairs[r])}]x{len(c)}"
-            for r, c in zip(orbits.representatives, orbits.classes)
+            f"orbit[{_pair_label(orbits.pairs[c[0]])}]x{len(c)}"
+            for c in orbits.classes
         ]
         sizes = orbits.sizes
         if mode == "linear":

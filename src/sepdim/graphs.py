@@ -113,14 +113,8 @@ class FamilySpec:
     tag: str
     params: tuple[int, ...] = ()
 
-    TAGS = (
-        "complete", "cycle", "path", "complete-bipartite",
-        "complete-tripartite", "petersen", "heawood", "subdivided-star",
-        "tree",
-    )
-
     def __post_init__(self):
-        if self.tag not in self.TAGS:
+        if self.tag not in _BUILDERS:
             raise GraphError(f"unknown family tag {self.tag!r}")
 
     @classmethod
@@ -239,42 +233,27 @@ def subdivided_star(n: int) -> Graph:
     return graph_from_edges(2 * n + 1, edges)
 
 
+#: Every family tag -> (number of parameters, builder).
+_BUILDERS = {
+    "complete": (1, complete),
+    "cycle": (1, cycle),
+    "path": (1, path),
+    "complete-bipartite": (2, complete_multipartite),
+    "complete-tripartite": (3, complete_multipartite),
+    "petersen": (0, petersen),
+    "heawood": (0, heawood),
+    "subdivided-star": (1, subdivided_star),
+}
+
+
 def generate(spec: FamilySpec) -> Graph:
     """Produce the canonical labeled graph of a family.  Deterministic."""
-    tag, params = spec.tag, spec.params
-    if tag == "complete":
-        (n,) = params
-        return complete(n)
-    if tag == "cycle":
-        (n,) = params
-        return cycle(n)
-    if tag == "path":
-        (n,) = params
-        return path(n)
-    if tag == "complete-bipartite":
-        a, b = params
-        return complete_multipartite(a, b)
-    if tag == "complete-tripartite":
-        a, b, c = params
-        return complete_multipartite(a, b, c)
-    if tag == "petersen":
-        return petersen()
-    if tag == "heawood":
-        return heawood()
-    if tag == "subdivided-star":
-        (n,) = params
-        return subdivided_star(n)
-    if tag == "tree":
-        # Parameters are a flattened edge list u1,v1,u2,v2,...
-        if not params or len(params) % 2:
-            raise GraphError("tree spec needs a flattened edge list u1,v1,u2,v2,...")
-        edges = list(zip(params[::2], params[1::2]))
-        n = max(max(e) for e in edges) + 1
-        g = graph_from_edges(n, edges)
-        if not is_tree(g):
-            raise GraphError("tree spec does not describe a tree")
-        return g
-    raise GraphError(f"unknown family tag {tag!r}")
+    arity, build = _BUILDERS[spec.tag]
+    if len(spec.params) != arity:
+        raise GraphError(
+            f"family {spec.tag} takes {arity} parameter(s), got {len(spec.params)}"
+        )
+    return build(*spec.params)
 
 
 def random_tree(n: int, seed: int) -> Graph:

@@ -515,15 +515,14 @@ def tree_guarantee(classes, beta):
 
 
 def tree_strategy_sample(g: Graph, beta, rng: random.Random,
-                         root: int | None = None, check: bool = True) -> Ordering:
+                         root: int | None = None) -> Ordering:
     """One linear layout from the randomized tree algorithm.
 
     Children of the root pick a side by a fair coin; children of any other
     vertex go between it and its parent with probability 1-beta and on the
     far side with probability beta, independently; the children landing on
     one side are placed immediately next to the vertex in a uniformly random
-    order.  Each sample is checked against the subtree-interval property
-    unless ``check`` is disabled.
+    order.  Each sample is checked against the subtree-interval property.
     """
     if root is None:
         root = centroid(g)
@@ -556,7 +555,7 @@ def tree_strategy_sample(g: Graph, beta, rng: random.Random,
         layout[u_at + 1:u_at + 1] = right
         queue.extend(kids)
     ordering = Ordering("linear", tuple(layout))
-    if check and not layout_respects_subtrees(g, root, ordering):
+    if not layout_respects_subtrees(g, root, ordering):
         raise StrategyError("sampled layout violated the subtree property")
     return ordering
 

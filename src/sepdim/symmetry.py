@@ -9,6 +9,7 @@ ordering player to one canonical ordering per part-label pattern.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .graphs import Graph, nonincident_pairs
 from .separation import Ordering
@@ -24,15 +25,13 @@ AUTOMORPHISM_ORDER_CAP = 10 ** 6
 
 @dataclass
 class AutomorphismGroup:
-    """Vertex permutations mapping E(G) onto itself.
+    """Vertex permutations mapping E(G) onto itself, every element listed."""
 
-    ``elements`` is the full group; ``generators`` is a small subset whose
-    closure is the group (verified by closure enumeration).
-    """
-
-    generators: list[tuple[int, ...]]
-    order: int
     elements: tuple[tuple[int, ...], ...]
+
+    @property
+    def order(self) -> int:
+        return len(self.elements)
 
 
 def _vertex_invariants(g: Graph):
@@ -103,46 +102,6 @@ def _search_maps(g: Graph, h: Graph, limit=None, first_only=False):
     return out
 
 
-def _compose(a, b):
-    """Permutation composition a after b (one-line notation)."""
-    return tuple(a[x] for x in b)
-
-
-def _extend(group, generators, new):
-    """Group generated by ``generators`` plus ``new``, where ``group`` is the
-    (closed) group generated by ``generators``: BFS over right products.
-
-    Products of ``group`` with the old generators stay inside it, so only
-    its products with ``new`` seed the search.
-    """
-    gens = [*generators, new]
-    seen = set(group)
-    frontier = []
-    for p in group:
-        q = _compose(new, p)
-        if q not in seen:
-            seen.add(q)
-            frontier.append(q)
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for gen in gens:
-                q = _compose(gen, p)
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return seen
-
-
-def closure(generators, n):
-    """Group generated by ``generators``, one generator at a time."""
-    seen = {tuple(range(n))}
-    for i, gen in enumerate(generators):
-        seen = _extend(seen, generators[:i], gen)
-    return seen
-
-
 def automorphisms(g: Graph) -> AutomorphismGroup:
     """Full automorphism group by backtracking with invariant pruning."""
     if g.n > AUTOMORPHISM_N_CAP:
@@ -150,15 +109,9 @@ def automorphisms(g: Graph) -> AutomorphismGroup:
             f"automorphism search is capped at n <= {AUTOMORPHISM_N_CAP} "
             f"(graph has n={g.n})"
         )
-    elements = sorted(_search_maps(g, g, limit=AUTOMORPHISM_ORDER_CAP))
-    identity = tuple(range(g.n))
-    generators = []
-    known = {identity}
-    for e in elements:
-        if e not in known:
-            known = _extend(known, generators, e)
-            generators.append(e)
-    return AutomorphismGroup(generators, len(elements), tuple(elements))
+    return AutomorphismGroup(
+        tuple(sorted(_search_maps(g, g, limit=AUTOMORPHISM_ORDER_CAP)))
+    )
 
 
 def find_isomorphism(g: Graph, h: Graph):
@@ -175,7 +128,6 @@ class OrbitPartition:
 
     pairs: list
     classes: list[list[int]]
-    representatives: list[int]
 
     @property
     def sizes(self):
@@ -190,32 +142,30 @@ def _apply_to_pair(perm, pair):
 
 
 def pair_orbits(g: Graph, aut: AutomorphismGroup) -> OrbitPartition:
-    """Partition nonincident pairs into orbits (BFS under the generators)."""
+    """Partition nonincident pairs into orbits, ordered by least pair index.
+
+    The orbit of a pair is its image under every group element.  Only the
+    images of edge ends matter, so elements that differ only on isolated
+    vertices are applied once.
+    """
     pairs = nonincident_pairs(g)
+    if not pairs:
+        return OrbitPartition(pairs, [])
     index = {p: i for i, p in enumerate(pairs)}
+    ends = [v for v in range(g.n) if g.adjacency[v]]
+    at = {v: i for i, v in enumerate(ends)}
+    actions = set(map(itemgetter(*ends), aut.elements))
     seen = [False] * len(pairs)
     classes = []
-    reps = []
-    gens = aut.generators or [tuple(range(g.n))]
-    for start in range(len(pairs)):
+    for start, pair in enumerate(pairs):
         if seen[start]:
             continue
-        orbit = [start]
-        seen[start] = True
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for i in frontier:
-                for gen in gens:
-                    j = index[_apply_to_pair(gen, pairs[i])]
-                    if not seen[j]:
-                        seen[j] = True
-                        orbit.append(j)
-                        nxt.append(j)
-            frontier = nxt
-        classes.append(sorted(orbit))
-        reps.append(start)
-    return OrbitPartition(pairs, classes, reps)
+        local = tuple(tuple(at[v] for v in edge) for edge in pair)
+        orbit = sorted({index[_apply_to_pair(act, local)] for act in actions})
+        for i in orbit:
+            seen[i] = True
+        classes.append(orbit)
+    return OrbitPartition(pairs, classes)
 
 
 # ---------------------------------------------------------------------------

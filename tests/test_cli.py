@@ -128,6 +128,13 @@ def test_solve_bad_family(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("spec", ["C:5,6", "Kn:4,4", "path:3,1", "star-subdiv:2,2"])
+def test_solve_wrong_parameter_count(capsys, spec):
+    code, out, err = run_cli(capsys, "solve", spec)
+    assert code == 1 and out == ""
+    assert err.startswith("error: family ") and "parameter" in err
+
+
 @pytest.mark.parametrize("flag", [["--threads", "2"], ["--i-have-time"],
                                   ["--budget", "1"], ["--linear-cap", "8"],
                                   ["--circular-cap", "8"], ["--pattern-cap", "8"]],
@@ -241,3 +248,28 @@ def test_tree_root_out_of_range(capsys):
     code, _, err = run_cli(capsys, "tree", "path:6", "--root", "9")
     assert code == 1
     assert "out of range" in err
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+@pytest.mark.parametrize("exact", [[], ["--exact"]], ids=["sampled", "exact"])
+def test_tree_rejects_sample_count_below_one(capsys, samples, exact):
+    code, out, err = run_cli(capsys, "tree", "path:8", "--samples", samples, *exact)
+    assert code == 1 and out == ""
+    assert err == f"error: --samples must be at least 1, got {samples}\n"
+
+
+@pytest.mark.parametrize("beta", ["3/2", "-1/2", "1.5", "-0.5", "inf", "nan",
+                                  "1/0", "x"])
+@pytest.mark.parametrize("exact", [[], ["--exact"]], ids=["sampled", "exact"])
+def test_tree_rejects_beta_outside_unit_interval(capsys, beta, exact):
+    code, out, err = run_cli(capsys, "tree", "path:8", f"--beta={beta}",
+                             "--samples", "10", *exact)
+    assert code == 1 and out == ""
+    assert err.startswith("error: --beta must be a probability in [0, 1]")
+
+
+@pytest.mark.parametrize("beta, want", [("0", "0"), ("1", "3/4"), ("2/2", "3/4")])
+def test_tree_accepts_beta_at_interval_ends(capsys, beta, want):
+    code, out, _ = run_cli(capsys, "tree", "path:8", "--beta", beta, "--exact")
+    assert code == 0
+    assert f"min separation probability: {want}" in out

@@ -185,10 +185,11 @@ def test_random_tree_is_tree():
         assert sd.is_tree(t)
 
 
-def test_tree_family_spec():
-    g = sd.generate(FamilySpec("tree", (0, 1, 1, 2, 1, 3)))
-    assert g.n == 4 and sd.is_tree(g)
-    with pytest.raises(GraphError):
-        sd.generate(FamilySpec("tree", (0, 1, 2)))
-    with pytest.raises(GraphError):
-        sd.generate(FamilySpec("tree", (0, 1, 2, 3)))
+def test_generate_checks_parameter_count():
+    assert sd.generate(FamilySpec("cycle", (5,))).n == 5
+    for spec in (FamilySpec("cycle", (5, 6)), FamilySpec("complete-bipartite", (3,)),
+                 FamilySpec("petersen", (10,)), FamilySpec("complete", ())):
+        with pytest.raises(GraphError, match=f"family {spec.tag} takes"):
+            sd.generate(spec)
+    with pytest.raises(GraphError, match="unknown family tag"):
+        FamilySpec("tree", (0, 1, 1, 2))

@@ -5,6 +5,7 @@ enumeration, a floating-point LP solver, naive group filtering, networkx
 graph matching) and compare with the exact pipeline.
 """
 
+import json
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -12,8 +13,9 @@ from itertools import combinations, permutations
 import pytest
 
 import sepdim as sd
+from sepdim.cli import main
 
-from conftest import random_graph
+from conftest import fan, random_graph
 
 
 def _naive_separated(perm, pair):
@@ -106,6 +108,54 @@ def test_automorphism_order_against_networkx():
         assert sd.automorphisms(g).order == count
         if want is not None:
             assert count == want
+
+
+def _networkx_pair_orbits(g):
+    """Pair orbits under every automorphism networkx's matcher finds, as
+    sorted index lists ordered by least index."""
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges)
+    maps = list(nx.algorithms.isomorphism.GraphMatcher(h, h).isomorphisms_iter())
+    pairs = sd.nonincident_pairs(g)
+    index = {frozenset(map(frozenset, p)): i for i, p in enumerate(pairs)}
+    seen = set()
+    classes = []
+    for i, pair in enumerate(pairs):
+        if i in seen:
+            continue
+        orbit = {index[frozenset(frozenset(m[v] for v in e) for e in pair)]
+                 for m in maps}
+        seen |= orbit
+        classes.append(sorted(orbit))
+    return classes
+
+
+def test_pair_orbits_against_networkx():
+    cases = [sd.petersen(), sd.heawood(), sd.complete_multipartite(4, 4),
+             sd.cycle(10), fan(10),
+             # Isolated vertices and K2 components: elements that act alike.
+             sd.graph_from_edges(9, [(0, 1), (2, 3), (4, 5), (5, 6)]),
+             sd.complete_multipartite(1, 4)]
+    rng = random.Random(2718)
+    cases += [random_graph(rng.randrange(4, 9), rng.choice((0.3, 0.5, 0.7)), rng)
+              for _ in range(20)]
+    for g in cases:
+        want = _networkx_pair_orbits(g)
+        assert sd.pair_orbits(g, sd.automorphisms(g)).classes == want
+
+
+@pytest.mark.parametrize("argv, labels", [
+    (["solve", "petersen"], ["orbit[0-7/1-5]x15", "orbit[0-7/1-6]x60"]),
+    (["solve", "K:5,5", "--mode", "circular", "--reduction", "orbits"],
+     ["orbit[0-5/1-6]x200"]),
+], ids=["petersen", "K5,5-circular"])
+def test_orbit_class_labels_pinned(capsys, argv, labels):
+    # Class order and each class's least pair name the LP rows.
+    assert main([*argv, "--json"]) == 0
+    classes = json.loads(capsys.readouterr().out)["result"]["classes"]
+    assert [c["label"] for c in classes] == labels
 
 
 def test_integer_cover_against_naive_search():

@@ -1,11 +1,12 @@
 import gc
+import math
 import random
 from itertools import combinations, permutations
 
 import pytest
 
 import sepdim as sd
-from sepdim.symmetry import SymmetryCapExceeded, closure
+from sepdim.symmetry import SymmetryCapExceeded
 
 from conftest import random_graph
 
@@ -26,27 +27,40 @@ def test_petersen_group_is_induced_symmetric_action():
     assert set(aut.elements) == induced
 
 
-def test_heawood_group_order_by_closure():
+def _is_closed_group(elements, n):
+    members = set(elements)
+    return (tuple(range(n)) in members
+            and all(tuple(a[x] for x in b) in members
+                    for a in elements for b in elements))
+
+
+def test_heawood_group_closed_under_composition():
     g = sd.heawood()
     aut = sd.automorphisms(g)
-    assert aut.order == 336
-    assert len(closure(aut.generators, g.n)) == 336
+    assert len(aut.elements) == aut.order == 336
+    assert _is_closed_group(aut.elements, g.n)
+
+
+def test_petersen_group_closed_under_composition():
+    g = sd.petersen()
+    aut = sd.automorphisms(g)
+    assert len(aut.elements) == aut.order == 120
+    assert _is_closed_group(aut.elements, g.n)
 
 
 def test_cycle_group_dihedral():
     assert sd.automorphisms(sd.cycle(5)).order == 10
 
 
-def test_generators_preserve_edges():
+def test_elements_preserve_edges():
     for g in (sd.petersen(), sd.cycle(6), sd.complete_multipartite(2, 3)):
         aut = sd.automorphisms(g)
         edge_set = set(g.edges)
-        for gen in aut.generators:
-            mapped = {tuple(sorted((gen[u], gen[v]))) for u, v in g.edges}
+        for perm in aut.elements:
+            mapped = {tuple(sorted((perm[u], perm[v]))) for u, v in g.edges}
             assert mapped == edge_set
-        assert len(aut.elements) % 1 == 0
+        assert len(set(aut.elements)) == aut.order
         # Lagrange sanity: order divides n!.
-        import math
         assert math.factorial(g.n) % aut.order == 0
 
 
@@ -63,18 +77,18 @@ def test_pair_orbit_sizes():
         assert len(orbm.classes) == 1
 
 
-def test_orbits_closed_under_generators():
+def test_orbits_closed_under_elements():
     for g in (sd.petersen(), sd.cycle(7), sd.complete_multipartite(2, 2, 2)):
         aut = sd.automorphisms(g)
         orb = sd.pair_orbits(g, aut)
         index = {p: i for i, p in enumerate(orb.pairs)}
         for cls in orb.classes:
             members = set(cls)
-            for gen in aut.generators:
+            for perm in aut.elements:
                 for i in cls:
                     (a, b), (c, d) = orb.pairs[i]
-                    e1 = tuple(sorted((gen[a], gen[b])))
-                    e2 = tuple(sorted((gen[c], gen[d])))
+                    e1 = tuple(sorted((perm[a], perm[b])))
+                    e2 = tuple(sorted((perm[c], perm[d])))
                     img = (e1, e2) if e1 < e2 else (e2, e1)
                     assert index[img] in members
 
