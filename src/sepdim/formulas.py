@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .game import EnumerationCapExceeded, fractional_sepdim, pattern_payoffs, _frac_str
 from .graphs import FamilySpec, generate, nonincident_pairs
-from .separation import max_separation
+from .separation import best_response, max_separation
 
 
 @dataclass(frozen=True)
@@ -186,9 +186,14 @@ def crosscheck(family: str, params, mode: str = "linear") -> dict:
         npairs = len(nonincident_pairs(g))
         upper = None
         if g.parts is not None:
-            # The total separated count is constant on pattern orbits; with
-            # one class the first Pareto-kept row is the maximum.
-            (best,), _ = pattern_payoffs(g, mode, None)[0]
+            # The total separated count is constant on pattern orbits, so
+            # its maximum over the patterns is the maximum over orderings:
+            # the chain DP in linear mode, and with one class the first
+            # Pareto-kept row in circular mode.
+            if mode == "linear":
+                best = best_response(g, [list(range(npairs))], [1], g.parts).score
+            else:
+                (best,), _ = pattern_payoffs(g, mode, None)[0]
             upper = Fraction(best, npairs)
         elif g.n <= 8:
             upper = Fraction(max_separation(g, mode).score, npairs)

@@ -43,6 +43,8 @@ from .symmetry import (
     signature_classes,
 )
 
+# Caps circular patterns only, which are enumerated; linear patterns run
+# the subset DP under LINEAR_DP_CAP.
 PATTERN_N_CAP = 14
 BIPARTITE_SCAN_CAP = 14
 TRIPARTITE_SCAN_CAP = 12
@@ -256,21 +258,25 @@ def pattern_payoffs(g: Graph, mode: str, classes):
     return [(counts, Ordering(mode, tuple(seq))) for counts, seq in rows]
 
 
-def _column_generation(g: Graph, pairs, classes, sizes, labels) -> GameSolution:
-    """Solve the linear game over all orderings by column generation.
+def _column_generation(g: Graph, pairs, classes, sizes, labels, chains=None,
+                       reduction="orbits") -> GameSolution:
+    """Solve the linear game over the orderings ``chains`` allows by column
+    generation.
 
     The restricted master holds the orderings found so far, and
-    ``best_response`` prices its dual mix exactly over all n! orderings.
-    Seed columns cover every class first, since a class no row separates
-    leaves the packing LP unbounded.  The loop stops when no ordering scores
-    more than the master value against the master's dual mix: that is the
-    dual certificate over the full game, and the master's primal mix is one
-    over real orderings.
+    ``best_response`` prices its dual mix exactly over every ordering that
+    keeps each chain in order: all n! orderings for ``chains`` None (the
+    orbit path), the canonical pattern orderings for ``g.parts`` (the
+    pattern path).  Seed columns cover every class first, since a class no
+    row separates leaves the packing LP unbounded.  The loop stops when no
+    ordering scores more than the master value against the master's dual
+    mix: that is the dual certificate over the full game, and the master's
+    primal mix is one over real orderings.
     """
     rows = []
 
     def add_column(weights):
-        best = best_response(g, classes, weights)
+        best = best_response(g, classes, weights, chains)
         counts = count_separated(best.ordering, pairs, classes)
         rows.append((counts, best.ordering.serialize()))
         return best.score
@@ -280,7 +286,7 @@ def _column_generation(g: Graph, pairs, classes, sizes, labels) -> GameSolution:
         add_column([0 if c else 1 for c in covered])
         covered = [c or x > 0 for c, x in zip(covered, rows[-1][0])]
     while True:
-        sol = solve_game(rows, sizes, labels, mode="linear", reduction="orbits")
+        sol = solve_game(rows, sizes, labels, mode="linear", reduction=reduction)
         dual = dict(sol.dual)
         prices = [dual.get(lbl, 0) / size for lbl, size in zip(labels, sizes)]
         if add_column(prices) <= sol.value:
@@ -299,12 +305,15 @@ def fractional_sepdim(g: Graph, mode: str = "linear",
     Disconnected graphs are solved whole: pairs across components are
     ordinary pairs.
 
-    Linear "orbits" solves by column generation with the subset-DP best
-    response, capped at ``LINEAR_DP_CAP`` vertices; the other reductions
-    enumerate payoff vectors under the enumeration caps.  A graph over the
-    cap of the path that would run raises ``EnumerationCapExceeded`` before
-    any symmetry search.  Each reduction has this one path, run in one
-    process, so the certificate depends on the graph alone.
+    Linear "orbits" and linear "patterns" solve by column generation with
+    the subset-DP best response, capped at ``LINEAR_DP_CAP`` vertices: over
+    all orderings for orbits, and over the canonical pattern orderings (the
+    parts as chains) for patterns.  Linear "none" and every circular
+    reduction enumerate payoff vectors under the enumeration caps (circular
+    patterns under ``PATTERN_N_CAP``).  A graph over the cap of the path
+    that would run raises ``EnumerationCapExceeded`` before any symmetry
+    search.  Each reduction has this one path, run in one process, so the
+    certificate depends on the graph alone.
     """
     if reduction not in REDUCTIONS:
         raise GameError(f"reduction must be one of {REDUCTIONS}")
@@ -318,7 +327,7 @@ def fractional_sepdim(g: Graph, mode: str = "linear",
     if reduction == "patterns" and g.parts is None:
         raise GameError("pattern reduction requires a complete multipartite graph with parts")
     # The cap of the path that will run, checked before any symmetry search.
-    if reduction == "patterns":
+    if reduction == "patterns" and mode == "circular":
         check_cap("pattern reduction", g.n, PATTERN_N_CAP)
     elif mode == "circular":
         check_cap("circular enumeration", g.n, CIRCULAR_ENUM_CAP)
@@ -335,8 +344,11 @@ def fractional_sepdim(g: Graph, mode: str = "linear",
 
     if reduction == "patterns":
         classes, labels = signature_classes(g)
-        rows = pattern_payoffs(g, mode, classes)
         sizes = [len(c) for c in classes]
+        if mode == "linear":
+            return _column_generation(g, pairs, classes, sizes, labels,
+                                      g.parts, "patterns")
+        rows = pattern_payoffs(g, mode, classes)
     elif reduction == "orbits":
         if aut is None:
             aut = automorphisms(g)

@@ -491,16 +491,26 @@ def max_separation(g: Graph, mode: str, classes=None, weights=None) -> MaxSepara
     return MaxSeparation(best[0], best[1])
 
 
-def best_response(g: Graph, classes, weights) -> MaxSeparation:
+def best_response(g: Graph, classes, weights, chains=None) -> MaxSeparation:
     """Exact maximum of the weighted linear separation count, by a subset DP.
 
     ``weights[k]`` scores every separated pair of class k, as in
     ``max_separation``.  Pair (e, f) is separated with f first exactly when
     the first endpoint v of e is placed while f lies inside the placed set S
     and e's other endpoint does not, so the gain of placing v after S depends
-    only on (S, v) and a Held-Karp DP over the 2^n placed sets is exact.
-    Weights are scaled to integers by their common denominator.  The returned
-    score is re-checked against a recount of the witness ordering.
+    only on (S, v) and a DP over placed sets is exact.
+
+    ``chains`` are vertex tuples that together hold every vertex; a move
+    places the next unplaced vertex of one chain, so the DP maximizes over
+    the orderings that keep each chain in its order.  None makes every vertex
+    its own chain: the Held-Karp DP over all 2^n sets and all n! orderings.
+    ``g.parts`` gives the canonical pattern orderings of a complete
+    multipartite graph (``symmetry.pattern_sequence``), over the prod(s_i+1)
+    sets whose part prefixes are placed.  The DP walks the sets in integer
+    order, which is topological because a move adds a bit, and skips the
+    sets no move reaches.  Weights are scaled to integers by their common
+    denominator.  The returned score is re-checked against a recount of the
+    witness ordering.
     """
     n = g.n
     check_cap("linear subset DP", n, LINEAR_DP_CAP)
@@ -510,6 +520,10 @@ def best_response(g: Graph, classes, weights) -> MaxSeparation:
         return MaxSeparation(Fraction(0), Ordering("linear", tuple(range(n))))
     denom = lcm(*(w.denominator for w in weights))
     scaled = [int(w * denom) for w in weights]
+    if chains is None:
+        chains = [(v,) for v in range(n)]
+    # Each chain ends in -1, which the DP reads once the chain is placed.
+    moves = [(tuple(chain) + (-1,), sum(1 << v for v in chain)) for chain in chains]
 
     specs = _pair_specs(pairs, classes)
     edge_id = {}
@@ -535,20 +549,22 @@ def best_response(g: Graph, classes, weights) -> MaxSeparation:
     edge_range = range(m)
     for placed in range(full):
         base = best[placed]
+        if base == floor:
+            continue
         inside = [f for f in edge_range if ends[f] & placed == ends[f]]
         gain_of = {
             e: sum(map(pair_weight[e].__getitem__, inside))
             for e in edge_range if not ends[e] & placed
         }
-        for v in range(n):
-            bit = 1 << v
-            if placed & bit:
+        for chain, chain_mask in moves:
+            v = chain[(placed & chain_mask).bit_count()]
+            if v < 0:
                 continue
             gain = base
             for e in incident[v]:
                 if e in gain_of:
                     gain += gain_of[e]
-            nxt = placed | bit
+            nxt = placed | 1 << v
             if gain > best[nxt]:
                 best[nxt] = gain
                 last[nxt] = v

@@ -13,6 +13,17 @@ def random_graph(n: int, p: float, rng: random.Random) -> sd.Graph:
     return sd.graph_from_edges(n, edges)
 
 
+def multipartite_shapes(n_max: int):
+    """Every bipartite and tripartite shape with n <= n_max, then a few
+    shapes with four and five parts."""
+    return [(a, n - a) for n in range(2, n_max + 1) for a in range(1, n // 2 + 1)] + [
+        (a, b, n - a - b)
+        for n in range(3, n_max + 1)
+        for a in range(1, n // 3 + 1)
+        for b in range(a, (n - a) // 2 + 1)
+    ] + [(1, 1, 1, 1), (1, 1, 2, 2), (2, 2, 2, 2), (1, 2, 2, 3), (1, 1, 1, 1, 1)]
+
+
 def prufer_tree(seq, n) -> sd.Graph:
     import heapq
 

@@ -89,6 +89,20 @@ def test_solve_cap_checked_before_symmetry_search(capsys):
     assert "automorphism" not in err
 
 
+def test_solve_linear_patterns_under_subset_dp_cap(capsys):
+    # Linear patterns run the chain DP, so K_{8,7} (n = 15, the paper's
+    # K_{m+1,m} with m = 7) solves; n = 17 is over the DP's cap.
+    code, out, _ = run_cli(capsys, "solve", "K:8,7", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["reduction"] == "patterns"
+    assert report["result"]["pi_f"] == "21/8"
+    assert report["result"]["certificate"] == "exact"
+    code, out, err = run_cli(capsys, "solve", "K:9,8")
+    assert code == 1 and out == ""
+    assert "linear subset DP is capped at n <= 16 (graph has n=17)" in err
+
+
 # An asymmetric connected 11-vertex graph: the first connected graph with a
 # trivial automorphism group among G(11, 0.3) draws from random.Random(3).
 ASYMMETRIC_11 = ((0, 1), (0, 7), (0, 10), (1, 2), (1, 5), (1, 8), (1, 9), (2, 4),

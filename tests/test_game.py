@@ -7,7 +7,7 @@ import sepdim as sd
 from sepdim import game
 from sepdim.game import GameError, LPUnbounded, _simplex_max, solve_game
 
-from conftest import random_graph
+from conftest import multipartite_shapes, random_graph
 
 
 def test_solve_game_k4_rows():
@@ -188,6 +188,57 @@ def test_unbalanced_tripartite_comparison():
     assert a.pi_f > b.pi_f
 
 
+# Rows of ``conjecture_scan`` as (shape, pi_f, is_max), in table order, as
+# the enumerated pattern LPs gave them.
+PINNED_SCANS = {
+    ("tripartite", 10): [
+        ((1, 4, 5), "70/27", True), ((2, 3, 5), "250/97", False),
+        ((2, 4, 4), "152/59", False), ((3, 3, 4), "18/7", False),
+        ((2, 2, 6), "28/11", False), ((1, 3, 6), "81/32", False),
+        ((1, 2, 7), "532/221", False), ((1, 1, 8), "2", False),
+    ],
+    ("tripartite", 11): [
+        ((1, 5, 5), "50/19", True), ((3, 3, 5), "270/103", False),
+        ((2, 4, 5), "55/21", False), ((3, 4, 4), "216/83", False),
+        ((1, 4, 6), "96/37", False), ((2, 3, 6), "1164/449", False),
+        ((1, 3, 7), "105/41", False), ((2, 2, 7), "28/11", False),
+        ((1, 2, 8), "53/22", False), ((1, 1, 9), "2", False),
+    ],
+    ("bipartite", 14): [
+        ((7, 7), "21/8", True), ((6, 8), "70/27", False), ((5, 9), "18/7", False),
+        ((4, 10), "5/2", False), ((3, 11), "33/14", False), ((2, 12), "2", False),
+        ((1, 13), "0", False),
+    ],
+}
+
+
+@pytest.mark.parametrize("family, n", sorted(PINNED_SCANS))
+def test_scan_rows_pinned(family, n):
+    rows = sd.conjecture_scan(n, family)
+    got = [(r.sizes, game._frac_str(r.pi_f), r.is_max) for r in rows]
+    assert got == PINNED_SCANS[family, n]
+
+
+def test_pattern_column_generation_matches_full_pattern_lp():
+    # Linear patterns solve by column generation with chain-DP pricing; the
+    # value must be that of one LP over every enumerated pattern row.
+    checked = 0
+    for shape in multipartite_shapes(10):
+        g = sd.complete_multipartite(*shape)
+        if not sd.nonincident_pairs(g):
+            continue
+        classes, labels = sd.signature_classes(g)
+        sizes = [len(c) for c in classes]
+        rows = [(counts, o.serialize())
+                for counts, o in game.pattern_payoffs(g, "linear", classes)]
+        want = solve_game(rows, sizes, labels)
+        sol = sd.fractional_sepdim(g, "linear", "patterns")
+        assert sol.reduction == "patterns"
+        assert sol.pi_f == want.pi_f, shape
+        checked += 1
+    assert checked == 51
+
+
 def test_scan_rejects_unknown_family():
     with pytest.raises(GameError):
         sd.conjecture_scan(6, "quadripartite")
@@ -309,14 +360,25 @@ def test_simplex_pivot_path_unreduced_lps(monkeypatch):
 
 
 def test_simplex_pivot_path_pattern_and_orbit_lps(monkeypatch):
-    solves = [
+    # The full linear pattern LPs of K_{3,3,3} and K_{2,3,4}, from the
+    # enumerated pattern rows; linear patterns now solve by column
+    # generation, so every master LP of those two solves is checked too.
+    full = []
+    for shape in ((3, 3, 3), (2, 3, 4)):
+        g = sd.complete_multipartite(*shape)
+        classes, _ = sd.signature_classes(g)
+        rows = game.pattern_payoffs(g, "linear", classes)
+        full.append(([counts for counts, _ in rows], [len(c) for c in classes]))
+    masters = _captured_lps(monkeypatch, [
         lambda: sd.fractional_sepdim(sd.complete_multipartite(3, 3, 3), "linear", "patterns"),
         lambda: sd.fractional_sepdim(sd.complete_multipartite(2, 3, 4), "linear", "patterns"),
+    ])
+    enumerated = _captured_lps(monkeypatch, [
         lambda: sd.fractional_sepdim(sd.complete_multipartite(3, 3), "circular", "patterns"),
         lambda: sd.fractional_sepdim(sd.petersen(), "circular", "orbits"),
-    ]
-    lps = _captured_lps(monkeypatch, solves)
-    assert len(lps) == 4
+    ])
+    assert len(masters) >= 2 and len(enumerated) == 2
+    lps = full + masters + enumerated
     assert all(max(sizes) > 1 for _, sizes in lps)
     _assert_same_vertex(lps)
 

@@ -6,8 +6,9 @@ import pytest
 
 import sepdim as sd
 from sepdim.separation import EnumerationCapExceeded, Ordering
+from sepdim.symmetry import pattern_sequence
 
-from conftest import random_graph
+from conftest import multipartite_shapes, random_graph
 
 
 def test_linear_separation_definition_cases():
@@ -166,6 +167,39 @@ def test_best_response_matches_enumeration():
         counts = sd.count_separated(dp.ordering, pairs, classes)
         assert sum(Fraction(w) * c for w, c in zip(weights, counts)) == dp.score
         checked += 1
+
+
+def test_best_response_chains_match_pattern_scan():
+    # The chain DP over the parts against a scan of every canonical pattern
+    # ordering, on signature classes and on one class, with seeded Fraction
+    # weights that include zeros.  The witness is a pattern ordering.
+    rng = random.Random(5318)
+    checked = 0
+    for shape in multipartite_shapes(9):
+        g = sd.complete_multipartite(*shape)
+        pairs = sd.nonincident_pairs(g)
+        if not pairs:
+            continue
+        signature, _ = sd.signature_classes(g)
+        for classes in (signature, [list(range(len(pairs)))]):
+            rows = [
+                sd.count_separated(sd.pattern_ordering(g, pat), pairs, classes)
+                for pat in sd.multipartite_patterns(g)
+            ]
+            for _ in range(2):
+                weights = [Fraction(rng.randrange(0, 6), rng.randrange(1, 8))
+                           for _ in classes]
+                if len(weights) > 1:
+                    weights[rng.randrange(len(weights))] = 0
+                dp = sd.best_response(g, classes, weights, g.parts)
+                want = max(sum(w * c for w, c in zip(weights, counts))
+                           for counts in rows)
+                assert dp.score == want, (shape, weights)
+                perm = dp.ordering.perm
+                pattern = [g.part_of[v] for v in perm]
+                assert perm == pattern_sequence(g, pattern), (shape, perm)
+        checked += 1
+    assert checked == 39
 
 
 def test_best_response_cap():
