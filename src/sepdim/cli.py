@@ -9,6 +9,7 @@ for the timing field.  Exit status is nonzero when any FAIL/ERROR row exists.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -646,7 +647,10 @@ def cmd_tree(args) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept for the process:
+    parsing leaves it unchanged, and each call returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="sepdim",
         description="Exact fractional separation dimension of small graphs.",
@@ -658,8 +662,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--csv", action="store_true", help="print CSV rows")
 
     p = sub.add_parser("solve", help="compute pi_f or pi_f_circ with certificate")
-    p.add_argument("source", help="family spec (C:7, K:3,3, Kn:5, petersen, "
-                                  "heawood, star-subdiv:4, path:6) or @file")
+    p.add_argument("source", help="family spec (C:7, K:3,3, K:2,2,2,2, Kn:5, "
+                                  "petersen, heawood, star-subdiv:4, path:6) "
+                                  "or @file")
     p.add_argument("--mode", choices=("linear", "circular"), default="linear")
     p.add_argument("--reduction", choices=("auto", "none", "orbits", "patterns"),
                    default="auto")

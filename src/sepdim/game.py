@@ -361,7 +361,7 @@ def fractional_sepdim(g: Graph, mode: str = "linear",
         sizes = orbits.sizes
         if mode == "linear":
             return _column_generation(g, pairs, classes, sizes, labels)
-        rows = enumerate_payoffs(g, mode, classes)
+        rows = enumerate_payoffs(g, mode, classes, group=aut.elements)
     else:
         labels = [_pair_label(p) for p in pairs]
         sizes = [1] * len(pairs)

@@ -119,8 +119,8 @@ class FamilySpec:
 
     @classmethod
     def parse(cls, text: str) -> "FamilySpec":
-        """Parse the CLI family grammar: K:a,b / K:a,b,c, C:n, Kn:n,
-        petersen, heawood, star-subdiv:n, path:n."""
+        """Parse the CLI family grammar: K:a,b / K:a,b,c / K:a,b,c,d,...,
+        C:n, Kn:n, petersen, heawood, star-subdiv:n, path:n."""
         text = text.strip()
         if text == "petersen":
             return cls("petersen")
@@ -138,11 +138,12 @@ class FamilySpec:
         if head == "Kn":
             return cls("complete", params)
         if head == "K":
-            if len(params) == 2:
-                return cls("complete-bipartite", params)
-            if len(params) == 3:
-                return cls("complete-tripartite", params)
-            raise GraphError("K: takes two or three part sizes")
+            if len(params) < 2:
+                raise GraphError(
+                    f"K: takes two or more part sizes, got {len(params)}"
+                )
+            tag = {2: "complete-bipartite", 3: "complete-tripartite"}
+            return cls(tag.get(len(params), "complete-multipartite"), params)
         if head == "star-subdiv":
             return cls("subdivided-star", params)
         if head == "path":
@@ -233,13 +234,15 @@ def subdivided_star(n: int) -> Graph:
     return graph_from_edges(2 * n + 1, edges)
 
 
-#: Every family tag -> (number of parameters, builder).
+#: Every family tag -> (number of parameters, builder); None takes four or
+#: more.
 _BUILDERS = {
     "complete": (1, complete),
     "cycle": (1, cycle),
     "path": (1, path),
     "complete-bipartite": (2, complete_multipartite),
     "complete-tripartite": (3, complete_multipartite),
+    "complete-multipartite": (None, complete_multipartite),
     "petersen": (0, petersen),
     "heawood": (0, heawood),
     "subdivided-star": (1, subdivided_star),
@@ -249,10 +252,10 @@ _BUILDERS = {
 def generate(spec: FamilySpec) -> Graph:
     """Produce the canonical labeled graph of a family.  Deterministic."""
     arity, build = _BUILDERS[spec.tag]
-    if len(spec.params) != arity:
-        raise GraphError(
-            f"family {spec.tag} takes {arity} parameter(s), got {len(spec.params)}"
-        )
+    count = len(spec.params)
+    if count != arity and (arity is not None or count < 4):
+        want = "four or more" if arity is None else arity
+        raise GraphError(f"family {spec.tag} takes {want} parameter(s), got {count}")
     return build(*spec.params)
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations
 from math import lcm
 
 from .graphs import EdgePair, Graph, nonincident_pairs
@@ -284,6 +284,33 @@ def sequence_keys(n, pairs, classes, mode, seqs):
     return found
 
 
+def canonical_prefixes(n, k, group=()):
+    """The prefixes (v1..vk) of distinct vertices of 1..n-1 that are
+    lexicographically least in their orbit under the elements of ``group``
+    fixing vertex 0, in lex order.
+
+    A DFS down the point-stabiliser chain: at depth j, v is allowed unless
+    an element fixing 0, v1..v_{j-1} maps v below itself, and the elements
+    that fix v as well go down one level.  A prefix is least in its orbit
+    exactly when every step is allowed: an element mapping it lower agrees
+    with it up to some v_j and maps v_j lower.  No group is the identity,
+    which allows every prefix: ``permutations(range(1, n), k)``.
+    """
+    yield from _prefixes((0,), [h for h in group if h[0] == 0], n, k)
+
+
+def _prefixes(placed, stab, n, k):
+    """The canonical extensions of ``placed`` (0 first) by k more vertices;
+    ``stab`` holds the elements fixing every placed vertex."""
+    if not k:
+        yield placed[1:]
+        return
+    for v in range(1, n):
+        if v in placed or any(h[v] < v for h in stab):
+            continue
+        yield from _prefixes(placed + (v,), [h for h in stab if h[v] == v], n, k - 1)
+
+
 class _CircularSplit:
     """Alternation masks of every circular ordering, by a prefix split.
 
@@ -297,36 +324,56 @@ class _CircularSplit:
     ``cross[x][y]`` over x in {0} + S and y in R.  Reversal keeps
     alternation, so the masks of all 0.P.Q are exactly those of the
     canonical orderings.
+
+    ``group`` holds vertex permutations that map every pair class onto
+    itself, and only the prefixes P of ``canonical_prefixes`` are split:
+    those least in their orbit under the elements fixing 0.  Tails are
+    built only for the sets S those prefixes cover.
+
+    The miss keys are unchanged.  An element h maps pair i to a pair of
+    the same class, and h.sigma alternates on h(i) iff sigma alternates on
+    i, so sigma and h.sigma share a key.  Every 0.P.Q maps to 0.h(P).h(Q)
+    with h(P) canonical, for the h fixing 0 that makes h(P) least.
+
+    The witnesses are unchanged too.  Let sigma = 0.P.Q be the least
+    canonical ordering (second entry below the last) with a key, and
+    suppose P were not canonical: some h fixes 0, v1..v_{j-1} and maps v_j
+    lower.  Then h.sigma has the same key and is lex-smaller than sigma.
+    If h.sigma is not canonical, its second entry h(v1) exceeds its last,
+    and its reversal 0.(h(P).h(Q)) reversed is canonical, has the same key
+    and starts 0, x with x < h(v1) <= v1, so it is smaller than sigma too.
+    Either way sigma was not least, so its prefix is canonical and the
+    lex-order walk over canonical prefixes in ``witnesses`` meets it first.
     """
 
-    def __init__(self, n, pairs):
+    def __init__(self, n, pairs, group=()):
         cross = _cross(n, pairs)
         self.n = n
-        self.k = (n - 1) // 2
+        self.prefixes = list(canonical_prefixes(n, (n - 1) // 2, group))
         self.head = {}    # P -> W(0.P) ^ X(S)
         self.tails = {}   # S as a vertex bitmask -> ([(Q, W(Q))] in lex order, distinct W(Q))
-        self.groups = []  # per S: (distinct heads, distinct W(Q))
-        rest = range(1, n)
-        for s in combinations(rest, self.k):
-            r = [v for v in rest if v not in s]
-            cut = 0
-            for x in (0,) + s:
-                for y in r:
-                    cut ^= cross[x][y]
-            heads = set()
-            for p in permutations(s):
-                self.head[p] = m = _within((0,) + p, cross) ^ cut
-                heads.add(m)
-            tails = [(q, _within(q, cross)) for q in permutations(r)]
-            distinct = tuple({m for _, m in tails})
-            self.tails[sum(1 << v for v in s)] = (tails, distinct)
-            self.groups.append((heads, distinct))
+        self.groups = {}  # S -> (distinct heads, distinct W(Q))
+        cuts = {}         # S -> X(S)
+        for p in self.prefixes:
+            s = sum(1 << v for v in p)
+            if s not in cuts:
+                r = [v for v in range(1, n) if not s >> v & 1]
+                cuts[s] = 0
+                for x in (0,) + p:
+                    for y in r:
+                        cuts[s] ^= cross[x][y]
+                tails = [(q, _within(q, cross)) for q in permutations(r)]
+                distinct = tuple({m for _, m in tails})
+                self.tails[s] = (tails, distinct)
+                self.groups[s] = (set(), distinct)
+            self.head[p] = m = _within((0,) + p, cross) ^ cuts[s]
+            self.groups[s][0].add(m)
 
     def masks(self):
-        """Every distinct alternation mask: h ^ t over each S's distinct
-        prefix and suffix masks."""
+        """Every distinct alternation mask of the split orderings: h ^ t
+        over each S's distinct prefix and suffix masks."""
         out = set()
-        for heads, tails in self.groups:
+        for heads, tails in self.groups.values():
             out |= {h ^ t for h in heads for t in tails}
         return out
 
@@ -335,13 +382,13 @@ class _CircularSplit:
         entry smaller than last) per key of ``masks_of``, which maps each
         key to the alternation masks it stands for.
 
-        One pass over (P, Q) in lex order; a prefix whose masks miss every
-        unwitnessed target is skipped, and the pass ends once every key has
-        its witness.
+        One pass over (P, Q) in lex order, P over the canonical prefixes; a
+        prefix whose masks miss every unwitnessed target is skipped, and
+        the pass ends once every key has its witness.
         """
         target = {m: key for key, ms in masks_of.items() for m in ms}
         found = {}
-        for p in permutations(range(1, self.n), self.k):
+        for p in self.prefixes:
             head = self.head[p]
             tails, distinct = self.tails[sum(1 << v for v in p)]
             if target.keys().isdisjoint([head ^ m for m in distinct]):
@@ -358,13 +405,14 @@ class _CircularSplit:
         return found
 
 
-def _circular_payoffs(n, pairs, classes, pareto):
+def _circular_payoffs(n, pairs, classes, pareto, group=()):
     """Payoff rows over circular orderings from the split's masks.
 
     The rows come from the masks' miss keys; only the rows get witnesses,
-    found by the split from the masks of each row's key.
+    found by the split from the masks of each row's key.  ``group`` holds
+    vertex permutations mapping every class onto itself (``_CircularSplit``).
     """
-    split = _CircularSplit(n, pairs)
+    split = _CircularSplit(n, pairs, group)
     masks = list(split.masks())
     keys = _mask_keys(masks, classes, len(pairs))
     found = dict(zip(keys, keys))
@@ -427,14 +475,19 @@ def _positions(perm):
     return pos
 
 
-def enumerate_payoffs(g: Graph, mode: str, classes=None, *, pareto=True):
+def enumerate_payoffs(g: Graph, mode: str, classes=None, *, pareto=True,
+                      group=()):
     """Distinct payoff vectors achieved by any ordering of the given mode.
 
     Returns a list of (counts, witness Ordering), deduplicated and (by
     default) Pareto-filtered, deterministically ordered; each witness is the
     least ordering with its vector.  Linear mode scans the position maps of
     one ordering per reversal pair (``_linear_scan``), circular mode runs
-    the XOR-split kernel (``_CircularSplit``).
+    the XOR-split kernel (``_CircularSplit``).  ``group`` holds vertex
+    permutations that map every class onto itself, such as the automorphisms
+    the orbit classes came from; the circular kernel splits only the
+    prefixes least under them, with the same rows and witnesses.  No group
+    is the identity.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -448,7 +501,7 @@ def enumerate_payoffs(g: Graph, mode: str, classes=None, *, pareto=True):
         return [((0,) * len(classes), trivial)]
     _pair_specs(pairs, classes)  # raises unless ``classes`` partition the pairs
     if mode == "circular":
-        return _circular_payoffs(g.n, pairs, classes, pareto)
+        return _circular_payoffs(g.n, pairs, classes, pareto, group)
     found = _linear_scan(_reversal_half(g.n), pairs, classes)
     sizes = [len(c) for c in classes]
     rows = pareto_filter(found, sizes) if pareto else _key_rows(found, sizes)

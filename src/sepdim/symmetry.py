@@ -45,7 +45,10 @@ def _search_maps(g: Graph, h: Graph, limit=None, first_only=False):
     """Backtracking search for edge-preserving bijections g -> h.
 
     Candidate images are filtered by (degree, sorted neighbor-degree multiset)
-    and tried in that order; correctness is what matters, speed is best-effort.
+    and tried in that order.  Vertices are placed in a static greedy order
+    (most placed neighbours first), so each new vertex's adjacency to the
+    placed ones prunes early; correctness is what matters, speed is
+    best-effort.
     """
     n = g.n
     inv_g = _vertex_invariants(g)
@@ -59,11 +62,25 @@ def _search_maps(g: Graph, h: Graph, limit=None, first_only=False):
         )
         for v in range(n)
     }
-    # Process the most constrained vertices first.
+    # Place next the vertex with the most placed neighbours, whose image
+    # the adjacency test then pins down; ties go to the most constrained.
+    # A dense graph is read through its complement, which has the same
+    # automorphisms.
     freq = {}
     for v in range(n):
         freq[inv_g[v]] = freq.get(inv_g[v], 0) + 1
-    order = sorted(range(n), key=lambda v: (freq[inv_g[v]], -g.degree(v), v))
+    tie = [(freq[inv_g[v]], -g.degree(v), v) for v in range(n)]
+    dense = 4 * len(g.edges) > n * (n - 1)
+    links = [0] * n
+    left = set(range(n))
+    order = []
+    while left:
+        v = min(left, key=lambda u: (-links[u], tie[u]))
+        left.remove(v)
+        order.append(v)
+        for w in left:
+            if (w in g.adjacency[v]) != dense:
+                links[w] += 1
 
     mapping = [-1] * n
     used = [False] * n

@@ -3,7 +3,7 @@ import json
 import pytest
 
 import sepdim as sd
-from sepdim.cli import main
+from sepdim.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -134,6 +134,41 @@ def test_solve_json_byte_stable_column_generation(capsys):
         report.pop("timing_s")
         runs.append(json.dumps(report, sort_keys=True))
     assert runs[0] == runs[1]
+
+
+def test_solve_many_part_shapes(capsys):
+    code, out, _ = run_cli(capsys, "solve", "K:2,2,2,2,2")
+    assert code == 0
+    assert out.splitlines()[0] == "pi_f = 3"
+    code, out, _ = run_cli(capsys, "solve", "K:1,1,1,2", "--json")
+    assert code == 0
+    assert json.loads(out)["graph"]["family"] == "complete-multipartite(1,1,1,2)"
+    # Two and three parts keep their tags, so their reports do not change.
+    code, out, _ = run_cli(capsys, "solve", "K:5,5", "--json")
+    assert json.loads(out)["graph"]["family"] == "complete-bipartite(5,5)"
+    code, out, _ = run_cli(capsys, "solve", "K:2,2,2", "--json")
+    assert json.loads(out)["graph"]["family"] == "complete-tripartite(2,2,2)"
+    code, out, err = run_cli(capsys, "solve", "K:4")
+    assert code == 1 and out == ""
+    assert err == "error: K: takes two or more part sizes, got 1\n"
+
+
+def test_parser_built_once_and_calls_do_not_leak(capsys):
+    # The parser is kept for the process; each main() call still gets only
+    # its own arguments and prints only its own report.
+    assert build_parser() is build_parser()
+    code, out, _ = run_cli(capsys, "solve", "C:5", "--json")
+    assert code == 0
+    report = json.loads(out)
+    assert report["mode"] == "linear" and report["result"]["pi_f"] == "5/3"
+    code, out, _ = run_cli(capsys, "solve", "C:5")
+    assert code == 0
+    assert out.splitlines()[0] == "pi_f = 5/3" and not out.startswith("{")
+    code, out, _ = run_cli(capsys, "solve", "C:5", "--mode", "circular")
+    assert code == 0
+    assert out.splitlines()[0] == "pi_f_circ = 1"
+    code, out, _ = run_cli(capsys, "solve", "C:5", "--json")
+    assert json.loads(out)["mode"] == "linear"
 
 
 def test_solve_bad_family(capsys):

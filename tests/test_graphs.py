@@ -74,8 +74,13 @@ def test_family_param_validation():
         sd.subdivided_star(0)
     with pytest.raises(GraphError):
         sd.complete_multipartite(0, 3)
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="got 1"):
         FamilySpec.parse("K:3")
+    assert FamilySpec.parse("K:2,2,2,2").tag == "complete-multipartite"
+    assert sd.generate(FamilySpec.parse("K:1,2,2,3")).parts == (
+        (0,), (1, 2), (3, 4), (5, 6, 7))
+    with pytest.raises(GraphError, match="four or more"):
+        sd.generate(FamilySpec("complete-multipartite", (2, 3)))
     with pytest.raises(GraphError):
         FamilySpec.parse("whatever")
 

@@ -5,10 +5,10 @@ from itertools import permutations
 import pytest
 
 import sepdim as sd
-from sepdim.separation import EnumerationCapExceeded, Ordering
+from sepdim.separation import EnumerationCapExceeded, Ordering, canonical_prefixes
 from sepdim.symmetry import pattern_sequence
 
-from conftest import multipartite_shapes, random_graph
+from conftest import fan, multipartite_shapes, random_graph
 
 
 def test_linear_separation_definition_cases():
@@ -339,6 +339,86 @@ def test_circular_kernel_property():
         got = sd.enumerate_payoffs(g, "circular", classes, pareto=pareto)
         want = _brute_rows(_brute_circular_scan(g), classes, pareto)
         assert [(c, o.perm) for c, o in got] == want
+
+    check()
+
+
+def test_canonical_prefixes_without_group_are_all_prefixes():
+    for n in range(1, 9):
+        for k in range(n):
+            want = list(permutations(range(1, n), k))
+            assert list(canonical_prefixes(n, k)) == want, (n, k)
+            assert list(canonical_prefixes(n, k, [tuple(range(n))])) == want, (n, k)
+
+
+def _seeded_symmetric_graphs(count, seed):
+    # Random graphs on 5..8 vertices with pairs and a nontrivial
+    # automorphism group (with none, the prefixes are all prefixes).
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        g = random_graph(rng.randrange(5, 9), rng.choice((0.3, 0.5, 0.7)), rng)
+        if sd.nonincident_pairs(g) and sd.automorphisms(g).order > 1:
+            out.append(g)
+    return out
+
+
+def test_canonical_prefixes_match_brute_force():
+    # Keep P when no element fixing 0 maps it lex-below itself, in lex order.
+    graphs = _seeded_symmetric_graphs(24, 4242) + [
+        sd.cycle(8), sd.complete(6), sd.complete_multipartite(3, 3),
+        sd.complete_multipartite(2, 2, 2), sd.petersen(), fan(9),
+    ]
+    for g in graphs:
+        group = sd.automorphisms(g).elements
+        stab = [h for h in group if h[0] == 0]
+        for k in {(g.n - 1) // 2, (g.n - 1) // 2 + 1}:
+            want = [
+                p for p in permutations(range(1, g.n), k)
+                if all(tuple(h[v] for v in p) >= p for h in stab)
+            ]
+            assert list(canonical_prefixes(g.n, k, group)) == want, (g.edges, k)
+
+
+def _assert_group_keeps_rows(g):
+    aut = sd.automorphisms(g)
+    pairs = sd.nonincident_pairs(g)
+    for classes in (sd.pair_orbits(g, aut).classes, [list(range(len(pairs)))]):
+        for pareto in (True, False):
+            want = sd.enumerate_payoffs(g, "circular", classes, pareto=pareto)
+            got = sd.enumerate_payoffs(g, "circular", classes, pareto=pareto,
+                                       group=aut.elements)
+            assert [(c, o.perm) for c, o in got] == [(c, o.perm) for c, o in want], (
+                g.edges, classes, pareto)
+
+
+def test_circular_group_keeps_rows_and_witnesses():
+    # The split over stabiliser-canonical prefixes gives the rows and
+    # witnesses of the split over every prefix, for orbit classes and for
+    # one class of all pairs (both are mapped onto themselves).
+    families = [
+        sd.cycle(8), sd.cycle(9), sd.complete(6), sd.complete(8),
+        sd.complete_multipartite(3, 3), sd.complete_multipartite(4, 4),
+        sd.complete_multipartite(2, 2, 2), sd.complete_multipartite(3, 3, 3),
+        sd.complete_multipartite(2, 3, 4), sd.petersen(),
+    ]
+    for g in _seeded_symmetric_graphs(32, 3141) + families:
+        _assert_group_keeps_rows(g)
+
+
+def test_circular_group_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, deadline=None)
+    @hypothesis.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(4, 7), label="n")
+        possible = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(possible), unique=True), label="edges")
+        g = sd.graph_from_edges(n, edges)
+        hypothesis.assume(sd.nonincident_pairs(g))
+        _assert_group_keeps_rows(g)
 
     check()
 
