@@ -185,7 +185,9 @@ _FORMULA_CATALOG = [
     ("complete", (4,), "circular"),
     ("complete-bipartite", (2, 2), "circular"), ("complete-bipartite", (3, 3), "circular"),
     ("complete-bipartite", (2, 4), "circular"), ("complete-bipartite", (4, 4), "circular"),
-    ("complete-bipartite", (2, 6), "circular"),
+    ("complete-bipartite", (2, 6), "circular"), ("complete-bipartite", (5, 5), "circular"),
+    ("complete-bipartite", (6, 6), "circular"), ("complete-bipartite", (7, 7), "circular"),
+    ("complete-bipartite", (3, 9), "circular"), ("complete-bipartite", (4, 8), "circular"),
     ("cycle", (5,), "circular"), ("cycle", (7,), "circular"),
     ("petersen", (), "linear"), ("petersen", (), "circular"),
     ("heawood", (), "linear"),

@@ -28,12 +28,14 @@ from .separation import (
     LINEAR_ENUM_CAP,
     EnumerationCapExceeded,
     Ordering,
+    _circular_payoffs,
+    _linear_scan,
+    _positions,
     best_response,
     check_cap,
     count_separated,
     enumerate_payoffs,
     pareto_filter,
-    sequence_keys,
 )
 from .symmetry import (
     automorphisms,
@@ -248,14 +250,17 @@ def _pair_label(pair) -> str:
 def pattern_payoffs(g: Graph, mode: str, classes):
     """Pareto-kept payoff rows over the canonical pattern orderings, each
     with the first pattern's ordering as witness; ``classes`` None means one
-    class of all pairs."""
+    class of all pairs.  Circular rows come from the split with the parts as
+    chains."""
     pairs = nonincident_pairs(g)
     if classes is None:
         classes = [list(range(len(pairs)))]
-    seqs = (pattern_sequence(g, pat) for pat in multipartite_patterns(g, mode))
-    found = sequence_keys(g.n, pairs, classes, mode, seqs)
+    if mode == "circular":
+        return _circular_payoffs(g.n, pairs, classes, True, chains=g.parts)
+    seqs = (pattern_sequence(g, pat) for pat in multipartite_patterns(g))
+    found = _linear_scan(map(_positions, seqs), pairs, classes)
     rows = pareto_filter(found, [len(c) for c in classes])
-    return [(counts, Ordering(mode, tuple(seq))) for counts, seq in rows]
+    return [(counts, Ordering(mode, tuple(_positions(q)))) for counts, q in rows]
 
 
 def _column_generation(g: Graph, pairs, classes, sizes, labels, chains=None,
@@ -310,10 +315,11 @@ def fractional_sepdim(g: Graph, mode: str = "linear",
     all orderings for orbits, and over the canonical pattern orderings (the
     parts as chains) for patterns.  Linear "none" and every circular
     reduction enumerate payoff vectors under the enumeration caps (circular
-    patterns under ``PATTERN_N_CAP``).  A graph over the cap of the path
-    that would run raises ``EnumerationCapExceeded`` before any symmetry
-    search.  Each reduction has this one path, run in one process, so the
-    certificate depends on the graph alone.
+    patterns under ``PATTERN_N_CAP``), and their primal support is recounted
+    on the raw pairs.  A graph over the cap of the path that would run
+    raises ``EnumerationCapExceeded`` before any symmetry search.  Each
+    reduction has this one path, run in one process, so the certificate
+    depends on the graph alone.
     """
     if reduction not in REDUCTIONS:
         raise GameError(f"reduction must be one of {REDUCTIONS}")
@@ -363,11 +369,29 @@ def fractional_sepdim(g: Graph, mode: str = "linear",
             return _column_generation(g, pairs, classes, sizes, labels)
         rows = enumerate_payoffs(g, mode, classes, group=aut.elements)
     else:
+        classes = [[i] for i in range(len(pairs))]
         labels = [_pair_label(p) for p in pairs]
         sizes = [1] * len(pairs)
-        rows = enumerate_payoffs(g, mode, [[i] for i in range(len(pairs))])
+        rows = enumerate_payoffs(g, mode, classes)
     rows = [(counts, o.serialize()) for counts, o in rows]
-    return solve_game(rows, sizes, labels, mode=mode, reduction=reduction)
+    sol = solve_game(rows, sizes, labels, mode=mode, reduction=reduction)
+    _recount_primal(sol, rows, pairs, classes)
+    return sol
+
+
+def _recount_primal(sol, rows, pairs, classes):
+    """Raise unless every ordering of the primal support, recounted on the
+    raw pairs, separates exactly the counts of its row.
+
+    Enumerated rows come from the kernels' miss keys; this checks them
+    against the separation definition where the certificate uses them.
+    Column generation builds its rows by this recount already.
+    """
+    counts_of = {key: counts for counts, key in rows}
+    for key, _ in sol.primal:
+        if count_separated(Ordering.parse(key), pairs, classes) != counts_of[key]:
+            raise AssertionError(
+                f"primal ordering {key} separates other counts than its row")
 
 
 @dataclass
@@ -382,8 +406,12 @@ def conjecture_scan(n: int, family: str, mode: str = "linear") -> list[ScanRow]:
     """Exact pi_f for every complete bipartite/tripartite shape on n vertices.
 
     Rows come back sorted by value descending with the argmax flagged;
-    shapes over the cap are reported as skipped.
+    shapes over the cap are reported as skipped.  An n with no shape (below
+    2 for bipartite, 3 for tripartite) raises ``GameError``.
     """
+    minimum = {"bipartite": 2, "tripartite": 3}.get(family)
+    if minimum is not None and n < minimum:
+        raise GameError(f"{family} scan needs n >= {minimum} (got n={n})")
     if family == "bipartite":
         if n > BIPARTITE_SCAN_CAP:
             raise EnumerationCapExceeded(

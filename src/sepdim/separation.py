@@ -265,26 +265,7 @@ def _mask_keys(masks, classes, npairs):
     return [sum(map(at, tables, m.to_bytes(nbytes, "little"))) for m in masks]
 
 
-def sequence_keys(n, pairs, classes, mode, seqs):
-    """The first vertex sequence of ``seqs`` per miss key, in either mode.
-
-    Streams ``seqs`` (the pattern orderings of a multipartite graph, say):
-    only each key's first sequence is kept.
-    """
-    if mode == "linear":
-        found = _linear_scan(map(_positions, seqs), pairs, classes)
-        return {key: _positions(q) for key, q in found.items()}
-    cross = _cross(n, pairs)
-    first = {}  # alternation mask -> its first sequence, in stream order
-    for s in seqs:
-        first.setdefault(_within(s, cross), s)
-    found = {}
-    for key, s in zip(_mask_keys(list(first), classes, len(pairs)), first.values()):
-        found.setdefault(key, s)
-    return found
-
-
-def canonical_prefixes(n, k, group=()):
+def canonical_prefixes(n, k, group=(), chains=None):
     """The prefixes (v1..vk) of distinct vertices of 1..n-1 that are
     lexicographically least in their orbit under the elements of ``group``
     fixing vertex 0, in lex order.
@@ -293,22 +274,27 @@ def canonical_prefixes(n, k, group=()):
     an element fixing 0, v1..v_{j-1} maps v below itself, and the elements
     that fix v as well go down one level.  A prefix is least in its orbit
     exactly when every step is allowed: an element mapping it lower agrees
-    with it up to some v_j and maps v_j lower.  No group is the identity,
-    which allows every prefix: ``permutations(range(1, n), k)``.
+    with it up to some v_j and maps v_j lower.  With ``chains`` (vertex
+    tuples, 0 heading its chain) v must also be the next of its chain.  No
+    group and no chains allow every prefix: ``permutations(range(1, n), k)``.
     """
-    yield from _prefixes((0,), [h for h in group if h[0] == 0], n, k)
+    before = {v: u for c in chains or () for u, v in zip(c, c[1:])}
+    yield from _prefixes((0,), [h for h in group if h[0] == 0], before, n, k)
 
 
-def _prefixes(placed, stab, n, k):
+def _prefixes(placed, stab, before, n, k):
     """The canonical extensions of ``placed`` (0 first) by k more vertices;
-    ``stab`` holds the elements fixing every placed vertex."""
+    ``stab`` holds the elements fixing every placed vertex, and ``before``
+    maps a vertex to its predecessor in its chain."""
     if not k:
         yield placed[1:]
         return
     for v in range(1, n):
-        if v in placed or any(h[v] < v for h in stab):
+        if (v in placed or (before and before.get(v, 0) not in placed)
+                or any(h[v] < v for h in stab)):
             continue
-        yield from _prefixes(placed + (v,), [h for h in stab if h[v] == v], n, k - 1)
+        yield from _prefixes(placed + (v,), [h for h in stab if h[v] == v],
+                             before, n, k - 1)
 
 
 class _CircularSplit:
@@ -344,12 +330,27 @@ class _CircularSplit:
     and starts 0, x with x < h(v1) <= v1, so it is smaller than sigma too.
     Either way sigma was not least, so its prefix is canonical and the
     lex-order walk over canonical prefixes in ``witnesses`` meets it first.
+
+    ``chains`` (vertex tuples holding every vertex, 0 heading its chain,
+    such as the parts in label order) restrict P and Q to the orderings
+    that keep every chain in order; the classes must map onto themselves
+    under permutations within the chains, as part signature classes do.
+    The keys are kept: rotate an ordering to start in 0's chain and relabel
+    within the chains, and it is a chain-kept 0.P.Q.  The direction test is
+    dropped, so the witness is the least chain-kept 0.P.Q with its key.
+    For parts that are label ranges in part order, lex order on chain-kept
+    orderings is lex order on their part-label patterns, and the least
+    rotation or reflection of the witness's pattern is again chain-kept
+    with 0 first and has the same key, so it is not smaller: the witness is
+    the least bracelet pattern with the key.
     """
 
-    def __init__(self, n, pairs, group=()):
+    def __init__(self, n, pairs, group=(), chains=None):
         cross = _cross(n, pairs)
-        self.n = n
-        self.prefixes = list(canonical_prefixes(n, (n - 1) // 2, group))
+        self.chains = chains
+        k = (n - 1) // 2
+        before = {v: u for c in chains or () for u, v in zip(c, c[1:])}
+        self.prefixes = list(canonical_prefixes(n, k, group, chains))
         self.head = {}    # P -> W(0.P) ^ X(S)
         self.tails = {}   # S as a vertex bitmask -> ([(Q, W(Q))] in lex order, distinct W(Q))
         self.groups = {}  # S -> (distinct heads, distinct W(Q))
@@ -362,7 +363,9 @@ class _CircularSplit:
                 for x in (0,) + p:
                     for y in r:
                         cuts[s] ^= cross[x][y]
-                tails = [(q, _within(q, cross)) for q in permutations(r)]
+                orders = permutations(r) if chains is None else (
+                    t[k:] for t in _prefixes((0,) + p, (), before, n, len(r)))
+                tails = [(q, _within(q, cross)) for q in orders]
                 distinct = tuple({m for _, m in tails})
                 self.tails[s] = (tails, distinct)
                 self.groups[s] = (set(), distinct)
@@ -380,7 +383,7 @@ class _CircularSplit:
     def witnesses(self, masks_of):
         """The lexicographically least canonical ordering (0 first, second
         entry smaller than last) per key of ``masks_of``, which maps each
-        key to the alternation masks it stands for.
+        key to the alternation masks it stands for (with chains, either way).
 
         One pass over (P, Q) in lex order, P over the canonical prefixes; a
         prefix whose masks miss every unwitnessed target is skipped, and
@@ -396,7 +399,7 @@ class _CircularSplit:
             first = p[0]
             for q, m in tails:
                 key = target.get(head ^ m)
-                if key is not None and first < q[-1]:
+                if key is not None and (self.chains or first < q[-1]):
                     found[key] = (0,) + p + q
                     for x in masks_of[key]:
                         del target[x]
@@ -405,14 +408,14 @@ class _CircularSplit:
         return found
 
 
-def _circular_payoffs(n, pairs, classes, pareto, group=()):
+def _circular_payoffs(n, pairs, classes, pareto, group=(), chains=None):
     """Payoff rows over circular orderings from the split's masks.
 
     The rows come from the masks' miss keys; only the rows get witnesses,
-    found by the split from the masks of each row's key.  ``group`` holds
-    vertex permutations mapping every class onto itself (``_CircularSplit``).
+    found by the split from the masks of each row's key; ``group`` and
+    ``chains`` are those of ``_CircularSplit``.
     """
-    split = _CircularSplit(n, pairs, group)
+    split = _CircularSplit(n, pairs, group, chains)
     masks = list(split.masks())
     keys = _mask_keys(masks, classes, len(pairs))
     found = dict(zip(keys, keys))

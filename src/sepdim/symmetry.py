@@ -212,29 +212,18 @@ def _label_sequences(counts, cur, total):
             counts[lbl] += 1
 
 
-def multipartite_patterns(g: Graph, mode: str = "linear"):
-    """All distinct part-label sequences with the parts' multiplicities.
+def multipartite_patterns(g: Graph):
+    """All distinct part-label sequences with the parts' multiplicities, in
+    lex order.
 
-    Each pattern stands for one orbit of orderings under part-preserving
-    automorphisms, via the canonical within-part vertex assignment.  Circular
-    patterns are deduplicated up to rotation and reflection.
+    Each pattern stands for one orbit of linear orderings under
+    part-preserving automorphisms, via the canonical within-part vertex
+    assignment.
     """
     if g.parts is None:
         raise ValueError("pattern reduction requires a graph with parts")
     counts = [len(p) for p in g.parts]
-    total = sum(counts)
-    out = list(_label_sequences(counts, [], total))
-    if mode == "linear":
-        return out
-    canon = {}
-    for pat in out:
-        best = min(
-            min(p[k:] + p[:k] for k in range(total))
-            for p in (pat, tuple(reversed(pat)))
-        )
-        if best not in canon:
-            canon[best] = best
-    return sorted(canon)
+    return list(_label_sequences(counts, [], sum(counts)))
 
 
 def pattern_sequence(g: Graph, pattern) -> tuple[int, ...]:

@@ -346,7 +346,7 @@ def _check_certificate(g, mode, reduction, sol):
                 weights,
                 sd.count_separated(sd.pattern_ordering(g, pat, mode), pairs, classes),
             ))
-            for pat in sd.multipartite_patterns(g, mode)
+            for pat in sd.multipartite_patterns(g)
         )
     else:
         best = sd.max_separation(g, mode, classes, weights).score

@@ -241,6 +241,16 @@ def test_scan_tripartite_json(capsys):
     assert rows[0]["is_max"]
 
 
+def test_scan_refuses_n_below_family_minimum(capsys):
+    code, out, err = run_cli(capsys, "scan", "--family", "tripartite", "--n", "-3")
+    assert code == 1 and not out
+    assert "tripartite scan needs n >= 3" in err
+    code, out, err = run_cli(capsys, "scan", "--family", "bipartite", "--n", "1",
+                             "--json")
+    assert code == 1 and not out
+    assert "bipartite scan needs n >= 2" in err
+
+
 def test_tree_exact_spider(capsys):
     code, out, _ = run_cli(capsys, "tree", "star-subdiv:4", "--beta", "3/4",
                            "--exact")

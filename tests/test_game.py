@@ -219,6 +219,42 @@ def test_scan_rows_pinned(family, n):
     assert got == PINNED_SCANS[family, n]
 
 
+def test_circular_scan_rows_pinned():
+    # Pinned from the bracelet-pattern enumeration the chain split replaced.
+    rows = sd.conjecture_scan(11, "tripartite", "circular")
+    got = [(r.sizes, game._frac_str(r.pi_f), r.is_max) for r in rows]
+    assert got == [
+        ((1, 5, 5), "10/7", True), ((1, 4, 6), "180/127", False),
+        ((2, 4, 5), "24/17", False), ((3, 4, 4), "24/17", False),
+        ((1, 3, 7), "210/149", False), ((2, 3, 6), "270/193", False),
+        ((3, 3, 5), "270/193", False), ((2, 2, 7), "112/81", False),
+        ((1, 2, 8), "40/29", False), ((1, 1, 9), "9/7", False),
+    ]
+
+
+@pytest.mark.parametrize("family, n", [("bipartite", 1), ("bipartite", -3),
+                                       ("tripartite", 2), ("tripartite", -3)])
+def test_scan_refuses_n_below_family_minimum(family, n):
+    minimum = {"bipartite": 2, "tripartite": 3}[family]
+    with pytest.raises(GameError, match=f"n >= {minimum}"):
+        sd.conjecture_scan(n, family)
+    assert [r.sizes for r in sd.conjecture_scan(minimum, family)] == [(1,) * minimum]
+
+
+def test_enumerated_solve_recounts_primal_support(monkeypatch):
+    # K_4 circular: three rows, each with weight 1/3.  Swapping two rows'
+    # witnesses leaves the LP as it is, but the recount of either ordering
+    # disagrees with its row.
+    rows = sd.enumerate_payoffs(sd.complete(4), "circular")
+    assert len(rows) == 3
+    swapped = [(rows[0][0], rows[1][1]), (rows[1][0], rows[0][1]), rows[2]]
+    monkeypatch.setattr(game, "enumerate_payoffs", lambda *a, **k: swapped)
+    with pytest.raises(AssertionError, match="primal ordering"):
+        sd.fractional_sepdim(sd.complete(4), "circular", "none")
+    monkeypatch.setattr(game, "enumerate_payoffs", lambda *a, **k: rows)
+    assert sd.fractional_sepdim(sd.complete(4), "circular", "none").pi_f == Fraction(3, 2)
+
+
 def test_pattern_column_generation_matches_full_pattern_lp():
     # Linear patterns solve by column generation with chain-DP pricing; the
     # value must be that of one LP over every enumerated pattern row.
@@ -421,14 +457,29 @@ def test_solve_game_unbounded():
         solve_game([((0, 1), "r")], [1, 1])
 
 
-def _reference_pattern_rows(g, mode, classes):
-    # The per-pattern path: count_separated on each pattern ordering, the
-    # first ordering per vector as witness, then the tuple Pareto filter.
+def _reference_pattern_rows(g, mode):
+    # The per-pattern path: count_separated on the ordering of every linear
+    # label sequence, read in the asked mode, the first ordering per vector
+    # as witness, then the tuple Pareto filter.  In circular mode the first
+    # sequence with a vector is its own least rotation and reflection, so
+    # this is the least bracelet pattern's ordering; the sequences that do
+    # not start with label 0 come after those that do and are rotations of
+    # them, so they are skipped.  Rows for the signature classes and for one
+    # class of all pairs, whose count is their sum.
     pairs = sd.nonincident_pairs(g)
-    found = {}
-    for pat in sd.multipartite_patterns(g, mode):
+    classes, _ = sd.signature_classes(g)
+    by_class, one_class = {}, {}
+    for pat in sd.multipartite_patterns(g):
+        if mode == "circular" and pat[0]:
+            break
         o = sd.pattern_ordering(g, pat, mode)
-        found.setdefault(sd.count_separated(o, pairs, classes), o)
+        counts = sd.count_separated(o, pairs, classes)
+        by_class.setdefault(counts, o)
+        one_class.setdefault((sum(counts),), o)
+    return _tuple_pareto(by_class), _tuple_pareto(one_class)
+
+
+def _tuple_pareto(found):
     kept = []
     for counts, o in sorted(found.items(), key=lambda r: (-sum(r[0]), r[0])):
         if not any(all(k >= c for k, c in zip(other, counts)) for other, _ in kept):
@@ -437,23 +488,31 @@ def _reference_pattern_rows(g, mode, classes):
 
 
 def test_pattern_rows_match_per_pattern_counts():
-    # Every bipartite and tripartite shape with n <= 9.
+    # Every shape with two or three parts and n <= 9 in both modes, and in
+    # circular mode every shape with four parts and n <= 9.
     shapes = [(a, n - a) for n in range(2, 10) for a in range(1, n // 2 + 1)] + [
         (a, b, n - a - b)
         for n in range(3, 10)
         for a in range(1, n // 3 + 1)
         for b in range(a, (n - a) // 2 + 1)
     ]
+    four_parts = [
+        (a, b, c, n - a - b - c)
+        for n in range(4, 10)
+        for a in range(1, n // 4 + 1)
+        for b in range(a, (n - a) // 3 + 1)
+        for c in range(b, (n - a - b) // 2 + 1)
+    ]
+    cases = [(s, m) for s in shapes for m in ("linear", "circular")]
+    cases += [(s, "circular") for s in four_parts]
     checked = 0
-    for shape in shapes:
+    for shape, mode in cases:
         g = sd.complete_multipartite(*shape)
         if not sd.nonincident_pairs(g):
             continue
         classes, _ = sd.signature_classes(g)
-        for mode in ("linear", "circular"):
-            for cls in (classes, None):
-                got = game.pattern_payoffs(g, mode, cls)
-                assert [(c, o.perm) for c, o in got] == \
-                    _reference_pattern_rows(g, mode, cls), (shape, mode, cls is None)
+        got = [[(c, o.perm) for c, o in game.pattern_payoffs(g, mode, cls)]
+               for cls in (classes, None)]
+        assert got == list(_reference_pattern_rows(g, mode)), (shape, mode)
         checked += 1
-    assert checked >= 25
+    assert checked == 2 * 34 + 18

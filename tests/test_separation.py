@@ -5,7 +5,9 @@ from itertools import permutations
 import pytest
 
 import sepdim as sd
-from sepdim.separation import EnumerationCapExceeded, Ordering, canonical_prefixes
+from sepdim.separation import (
+    EnumerationCapExceeded, Ordering, _circular_payoffs, canonical_prefixes,
+)
 from sepdim.symmetry import pattern_sequence
 
 from conftest import fan, multipartite_shapes, random_graph
@@ -349,6 +351,74 @@ def test_canonical_prefixes_without_group_are_all_prefixes():
             want = list(permutations(range(1, n), k))
             assert list(canonical_prefixes(n, k)) == want, (n, k)
             assert list(canonical_prefixes(n, k, [tuple(range(n))])) == want, (n, k)
+
+
+def _chain_kept(seq, chains):
+    # Each chain's vertices in seq are its first ones, in its order.
+    at = {v: i for i, v in enumerate(seq)}
+    for chain in chains:
+        placed = [v for v in chain if v in at]
+        if placed != list(chain[:len(placed)]) or \
+                [at[v] for v in placed] != sorted(at[v] for v in placed):
+            return False
+    return True
+
+
+def test_chain_prefixes_match_brute_force():
+    # The chain-kept prefixes, in lex order, for the split's k and for every
+    # vertex after 0: the parts of multipartite graphs, and chains that are
+    # not label ranges.
+    cases = [(sum(s), sd.complete_multipartite(*s).parts)
+             for s in multipartite_shapes(8) + [(2, 3, 4), (2, 2, 2, 3)]]
+    cases += [(6, ((0, 3, 5), (1, 4), (2,))), (7, ((0, 6), (5, 1, 3), (2, 4)))]
+    for n, chains in cases:
+        for k in {(n - 1) // 2, n - 1} if n <= 7 else {(n - 1) // 2}:
+            want = [p for p in permutations(range(1, n), k)
+                    if _chain_kept((0,) + p, chains)]
+            assert list(canonical_prefixes(n, k, chains=chains)) == want, (chains, k)
+
+
+def test_chain_split_witnesses_match_brute_force():
+    # With chains that are not label ranges, the rows and witnesses are
+    # those of a lex-order scan of the chain-kept orderings with 0 first,
+    # in either direction.
+    rng = random.Random(2718)
+    for n, chains in [(6, ((0, 3, 5), (1, 4), (2,))), (7, ((0, 6), (5, 1, 3), (2, 4))),
+                      (7, ((0,), (6, 1), (5, 2), (4, 3)))]:
+        for _ in range(3):
+            g = random_graph(n, 0.5, rng)
+            pairs = sd.nonincident_pairs(g)
+            scan = [(perm, [_raw_circular_separated(perm, p) for p in pairs])
+                    for perm in ((0,) + t for t in permutations(range(1, n)))
+                    if _chain_kept(perm, chains)]
+            for classes in ([[i] for i in range(len(pairs))], [list(range(len(pairs)))]):
+                for pareto in (True, False):
+                    got = _circular_payoffs(n, pairs, classes, pareto, chains=chains)
+                    want = _brute_rows(scan, classes, pareto)
+                    assert [(c, o.perm) for c, o in got] == \
+                        [(c, Ordering("circular", w).perm) for c, w in want], (g.edges, chains)
+
+
+def test_circular_chain_rows_property():
+    # The split with the parts as chains reaches every miss key of the split
+    # over all circular orderings, for signature classes and one class.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=10, deadline=None)
+    @hypothesis.given(st.lists(st.integers(1, 4), min_size=2, max_size=4),
+                      st.booleans(), st.booleans())
+    def check(sizes, one_class, pareto):
+        hypothesis.assume(sum(sizes) <= 9)
+        g = sd.complete_multipartite(*sizes)
+        pairs = sd.nonincident_pairs(g)
+        hypothesis.assume(pairs)
+        classes = [list(range(len(pairs)))] if one_class else sd.signature_classes(g)[0]
+        want = sd.enumerate_payoffs(g, "circular", classes, pareto=pareto)
+        got = _circular_payoffs(g.n, pairs, classes, pareto, chains=g.parts)
+        assert [c for c, _ in got] == [c for c, _ in want]
+
+    check()
 
 
 def _seeded_symmetric_graphs(count, seed):
